@@ -25,4 +25,5 @@ let () =
          Test_eventloop.suite;
          Test_backend.suite;
          Test_tune.suite;
+         Test_refcheck.suite;
        ])

@@ -1,0 +1,75 @@
+(* Bit-identity golden: digests of a machine run, a small fleet, the raw
+   distribution streams and a drained driver on pinned seeds.  Any change
+   to driver event order, malloc state, telemetry, sampling or the
+   pending-free and ticker queue disciplines moves one of these digests.
+   A refactor that claims to change no simulated output must leave this
+   test green; a change that moves them on purpose re-captures the values
+   below and says so. *)
+
+open Wsc_substrate
+module Machine = Wsc_fleet.Machine
+module Fleet = Wsc_fleet.Fleet
+module Apps = Wsc_workload.Apps
+module Profile = Wsc_workload.Profile
+module Driver = Wsc_workload.Driver
+
+let check_string = Alcotest.(check string)
+let hex_digest (s : Machine.summary) = Digest.to_hex s.Machine.sm_digest
+
+(* Machine-level outcome: driver event order, malloc state, telemetry, the
+   pending-free calendar and Clock's ticker order.  Then drain the first
+   job to empty (Driver.drain, i.e. drain_until infinity). *)
+let test_machine_and_drain () =
+  let m =
+    Machine.create ~seed:42 ~platform:Wsc_hw.Topology.default
+      ~jobs:[ Apps.fleet; Apps.monarch ] ()
+  in
+  Machine.run m ~duration_ns:(3.0 *. Units.sec) ~epoch_ns:Units.ms;
+  check_string "machine digest" "c04c79435a0fcd693d3dc1fe509c494b"
+    (hex_digest (Machine.summary m));
+  let d = (List.hd (Machine.jobs m)).Machine.driver in
+  Driver.drain d;
+  check_string "post-drain counters" "live 0 allocs 29988"
+    (Printf.sprintf "live %d allocs %d" (Driver.live_objects d)
+       (Driver.allocations d))
+
+(* Fleet sampling streams: categorical platform mix and Zipf binary draws. *)
+let test_fleet_machines () =
+  let f = Fleet.create ~seed:7 ~num_machines:6 ~num_binaries:50 () in
+  let sums = Fleet.run f ~jobs:1 ~duration_ns:(0.5 *. Units.sec) ~epoch_ns:Units.ms in
+  Alcotest.(check (list string))
+    "fleet machine digests"
+    [
+      "a1845f48d20d3dd52e4481b28429be5c";
+      "adee99cced397bd45bc32f6fabee0213";
+      "887d85cf430b4c41237f0e1011124038";
+      "02b8852952db96a3455814639482fb4b";
+      "42e55a93045f12ac83adaf31f21030a9";
+      "ccdc008ac338f137551c00fd30028c53";
+    ]
+    (List.map hex_digest sums)
+
+(* Raw distribution streams, hex-exact. *)
+let test_dist_stream () =
+  let rng = Rng.create 99 in
+  let buf = Buffer.create 4096 in
+  for _ = 1 to 2000 do
+    Buffer.add_string buf
+      (Printf.sprintf "%d %d %h %h\n"
+         (Dist.zipf rng ~n:50 ~s:0.9)
+         (Dist.categorical rng Fleet.platform_mix)
+         (Dist.sample Profile.fleet_size_dist rng)
+         (Profile.sample_lifetime Apps.fleet rng ~size:512))
+  done;
+  check_string "dist stream digest" "3153f6263f76b00e7d08a2147c71a32a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let suite =
+  [
+    ( "refcheck",
+      [
+        Alcotest.test_case "machine digest and drain" `Quick test_machine_and_drain;
+        Alcotest.test_case "fleet machine digests" `Quick test_fleet_machines;
+        Alcotest.test_case "dist stream digest" `Quick test_dist_stream;
+      ] );
+  ]
