@@ -492,7 +492,8 @@ let fig13 () =
   (* Long-lived objects arrive in temporal bursts (initialization of a data
      structure pins a couple of spans), not iid across every span. *)
   let pin_burst = ref 0 in
-  let pending : int Binheap.t = Binheap.create () in
+  let pending = Calendar.create () in
+  let due = ref [] in
   let dt = 10.0 *. Units.ms in
   let on_len = 9.0 *. Units.sec and cycle_len = 24.0 *. Units.sec in
   let duration = sec 300.0 in
@@ -500,10 +501,12 @@ let fig13 () =
   let next_snapshot = ref 0.0 in
   while !now < duration do
     now := !now +. dt;
-    let due = Binheap.pop_until pending !now in
-    if due <> [] then
-      Wsc_tcmalloc.Central_free_list.return_objects cfl ~cls
-        ~addrs:(List.map snd due) ~now:!now;
+    Calendar.drain_payloads pending !now (fun ~a ~b:_ ~c:_ -> due := a :: !due);
+    if !due <> [] then begin
+      Wsc_tcmalloc.Central_free_list.return_objects cfl ~cls ~addrs:(List.rev !due)
+        ~now:!now;
+      due := []
+    end;
     let in_on_phase = Float.rem !now cycle_len < on_len in
     if in_on_phase then begin
       let addrs, _ =
@@ -526,7 +529,7 @@ let fig13 () =
             if pinned then 1e18
             else Dist.sample (Dist.exponential ~mean:(1.0 *. Units.sec)) rng
           in
-          Binheap.push pending (!now +. lifetime) a)
+          Calendar.push pending (!now +. lifetime) ~a ~b:0 ~c:0)
         addrs
     end;
     if !now >= !next_snapshot then begin
@@ -1168,10 +1171,9 @@ let tracecodec () =
   let module Reader = Wsc_trace.Reader in
   let module Recorder = Wsc_trace.Recorder in
   let bin = Filename.temp_file "wsc_bench" ".wtrace" in
-  let txt = Filename.temp_file "wsc_bench" ".wtrace.txt" in
   let bin2 = Filename.temp_file "wsc_bench" ".wtrace2" in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ bin; txt; bin2 ])
+    ~finally:(fun () -> List.iter Sys.remove [ bin; bin2 ])
     (fun () ->
       (* A real recorded run (threads, retirements, cross-CPU frees), not
          a synthetic best case for the delta encoder. *)
@@ -1181,20 +1183,13 @@ let tracecodec () =
       let events = Writer.events_written w in
       Writer.close w;
       let binary_bytes = (Unix.stat bin).Unix.st_size in
-      (* Text v1 size of the same stream, written the same way
-         the text v1 codec does, without materializing it. *)
-      let oc = open_out txt in
-      Reader.with_file bin (fun r ->
-          Reader.iter r (fun ev ->
-              match ev with
-              | Wsc_workload.Trace.Alloc { id; size; cpu } ->
-                Printf.fprintf oc "a %d %d %d\n" id size cpu
-              | Wsc_workload.Trace.Free { id; cpu } -> Printf.fprintf oc "f %d %d\n" id cpu
-              | Wsc_workload.Trace.Advance { dt_ns } -> Printf.fprintf oc "t %.17g\n" dt_ns
-              | Wsc_workload.Trace.Retire { cpu; flush } ->
-                Printf.fprintf oc "r %d %d\n" cpu (if flush then 1 else 0)));
-      close_out oc;
-      let text_bytes = (Unix.stat txt).Unix.st_size in
+      (* Text v1 size of the same stream: one line per event, newline
+         included, without materializing it. *)
+      let text_bytes =
+        Reader.with_file bin (fun r ->
+            Reader.fold r 0 (fun acc ev ->
+                acc + String.length (Wsc_workload.Trace.line_of_event ev) + 1))
+      in
       let ratio = float_of_int text_bytes /. float_of_int binary_bytes in
       (* Streaming decode and decode+re-encode throughput, best of N. *)
       let best f =
@@ -1621,8 +1616,8 @@ let salvage () =
   let module Reader = Wsc_trace.Reader in
   let module Salvage = Wsc_trace.Salvage in
   let module Replay = Wsc_trace.Replay in
+  let module Recorder = Wsc_trace.Recorder in
   let module Storage = Wsc_os.Storage in
-  let module Event = Wsc_workload.Trace in
   let dir = Filename.temp_file "wsc_salvage" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -1642,19 +1637,16 @@ let salvage () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "salvage: %s\n" m; exit 1) fmt in
-  (* -- Trace corpus, fault-free reference. ------------------------- *)
+  (* -- Trace corpus, fault-free reference: one recorded run. --------- *)
   let duration_ns = (if !smoke then 4.0 else 30.0) *. Units.sec in
-  let emit w =
-    Event.synthesize_into ~seed:11 ~profile:Apps.monarch ~duration_ns (Writer.add w)
-  in
   let clean = path "clean.wtrace" in
   let events =
-    let w = Writer.to_file clean in
-    emit w;
-    let n = Writer.events_written w in
-    Writer.close w;
-    n
+    Writer.with_file clean (fun w ->
+        ignore (Recorder.record_app ~seed:11 ~duration_ns ~writer:w Apps.monarch);
+        Writer.events_written w)
   in
+  (* Every faulty arm re-encodes that recording through its storage shim. *)
+  let emit w = Reader.with_file clean (fun r -> ignore (Reader.copy_into r w)) in
   let clean_bytes = (Unix.stat clean).Unix.st_size in
   let repaired_clean = path "clean.repaired" in
   let rep0 = Salvage.repair ~src:clean ~dst:repaired_clean () in

@@ -743,35 +743,18 @@ let out_term =
     & opt (some string) None
     & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Trace file to write.")
 
-let trace_record app duration seed synthesize out =
-  let duration_ns = duration *. Units.sec in
+let trace_record app duration seed out =
   let w = Writer.to_file out in
-  (if synthesize then
-     (* Generator-only stream: the driver's event generator without an
-        allocator behind it (the legacy trace-record behavior), streamed
-        straight into the writer — no in-memory event list. *)
-     Workload.Trace.synthesize_into ~seed ~profile:app ~duration_ns (Writer.add w)
-   else
-     (* Record an actual solo-machine driver run through the probe. *)
-     ignore (Recorder.record_app ~seed ~duration_ns ~writer:w app));
+  ignore (Recorder.record_app ~seed ~duration_ns:(duration *. Units.sec) ~writer:w app);
   let events = Writer.events_written w and blocks = Writer.blocks_written w in
   Writer.close w;
-  Printf.printf "recorded %d events (%s run) from %s into %s (%d blocks)\n" events
-    (if synthesize then "synthesized" else "driver")
+  Printf.printf "recorded %d events from %s into %s (%d blocks)\n" events
     app.Profile.name out blocks
 
 let trace_record_cmd =
-  let synthesize =
-    Arg.(
-      value & flag
-      & info [ "synthesize" ]
-          ~doc:
-            "Emit the profile's synthetic event stream instead of recording a real \
-             driver run.")
-  in
   Cmd.v
     (Cmd.info "record" ~doc:"Record an allocation trace from a profile run.")
-    Term.(const trace_record $ app_term $ duration_term $ seed_term $ synthesize $ out_term)
+    Term.(const trace_record $ app_term $ duration_term $ seed_term $ out_term)
 
 let config_list =
   let parse s =
@@ -1222,12 +1205,16 @@ let arena_cmd =
 module Tuner = Tune.Tune
 module Tspace = Tune.Space
 
-let synth_events app duration seed =
-  let acc = ref [] in
-  Workload.Trace.synthesize_into ~seed ~profile:app
-    ~duration_ns:(duration *. Units.sec)
-    (fun ev -> acc := ev :: !acc);
-  Array.of_list (List.rev !acc)
+(* A solo driver run of [app] recorded to a scratch trace, decoded once. *)
+let recorded_events app duration seed =
+  let path = Filename.temp_file "wscalloc_tune" ".wtrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Writer.with_file path (fun w ->
+          ignore
+            (Recorder.record_app ~seed ~duration_ns:(duration *. Units.sec) ~writer:w app));
+      Replay.preload path)
 
 let tune trace_file app duration strategy_name budget batch backend seed jobs
     checkpoint resume stop_after json_out =
@@ -1260,9 +1247,9 @@ let tune trace_file app duration strategy_name budget batch backend seed jobs
       Printf.printf "tuning against trace %s...\n%!" path;
       Replay.preload path
     | None, Some app ->
-      Printf.printf "tuning against a synthesized %.0fs %s stream...\n%!" duration
+      Printf.printf "tuning against a recorded %.0fs %s run...\n%!" duration
         app.Profile.name;
-      synth_events app duration seed
+      recorded_events app duration seed
     | Some _, Some _ ->
       Printf.eprintf "wscalloc: --trace and --app are mutually exclusive\n";
       exit 124
@@ -1322,8 +1309,9 @@ let tune_cmd =
       & opt (some app_arg) None
       & info [ "app"; "a" ] ~docv:"APP"
           ~doc:
-            "Tune against a synthesized event stream of this profile instead of a \
-             recorded trace ($(b,--duration) seconds).")
+            "Tune against a solo run of this profile, recorded for \
+             $(b,--duration) seconds with the search's $(b,--seed), instead of a \
+             trace file.")
   in
   let strategy =
     Arg.(

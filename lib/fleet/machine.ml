@@ -5,7 +5,6 @@ module Malloc = Wsc_tcmalloc.Malloc
 module Backend = Wsc_backend.Backend
 module Driver = Wsc_workload.Driver
 module Profile = Wsc_workload.Profile
-module Threads = Wsc_workload.Threads
 
 module Fault = Wsc_os.Fault
 module Vm = Wsc_os.Vm
@@ -26,26 +25,13 @@ type t = {
   jobs : job list;
 }
 
-(* CPUs a job can need: its thread ceiling, bounded by the machine. *)
-let job_cpus platform profile =
-  min (Topology.num_cpus platform) profile.Profile.threads.Threads.max_threads
-
 let create ?(seed = 1) ?(config = Wsc_tcmalloc.Config.baseline) ?soft_limit_bytes
     ?hard_limit_bytes ?faults ?rseq ?audit_interval_ns ~platform ~jobs () =
   let clock = Clock.create () in
   let next_cpu = ref 0 in
   let make index profile =
-    let cpus = job_cpus platform profile in
-    (* Services whose ceiling exceeds half an LLC domain get spread across
-       domains by the scheduler (Sec. 4.2: applications span cache domains
-       because they are too large to fit or be scheduled within one). *)
-    let domains = max 1 (min 4 (cpus / 4)) in
-    let sched =
-      if domains > 1 && Topology.num_domains platform > 1 then
-        Sched.spread platform ~first_cpu:!next_cpu ~cpus ~domains
-      else Sched.slice platform ~first_cpu:!next_cpu ~cpus
-    in
-    next_cpu := (!next_cpu + cpus) mod Topology.num_cpus platform;
+    let sched = Driver.job_sched platform ~first_cpu:!next_cpu profile in
+    next_cpu := (!next_cpu + Sched.quota_size sched) mod Topology.num_cpus platform;
     let rseq = Option.map (fun rc -> Rseq.create ~index rc) rseq in
     let backend = Backend.create ~config ?rseq ~topology:platform ~clock () in
     let vm = Backend.vm backend in

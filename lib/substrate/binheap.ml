@@ -78,10 +78,3 @@ let pop_until t bound =
     | Some _ | None -> acc
   in
   List.rev (loop [])
-
-let clear t = t.len <- 0
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.keys.(i) t.values.(i)
-  done

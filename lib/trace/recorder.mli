@@ -7,9 +7,10 @@
     configuration).  Events stream straight into a {!Writer}; nothing is
     materialized.
 
-    Unlike [Trace.synthesize_into] — which mirrors only the driver's event
-    generator — a recorded run captures whatever actually happened:
-    thread-count dynamics, CPU-churn retirements, fault-driven behavior. *)
+    This is the only source of traces: trace files, tuner inputs and test
+    fixtures are all recorded driver runs, so a trace captures whatever
+    actually happened — the startup burst, thread-count dynamics,
+    CPU-churn retirements, fault-driven behavior. *)
 
 module Driver = Wsc_workload.Driver
 module Profile = Wsc_workload.Profile
@@ -34,8 +35,9 @@ val record_app :
   writer:Writer.t ->
   Profile.t ->
   Driver.t
-(** Run one application profile solo — the same CPU slice/spread scheduling
-    and seed derivation as a one-job {!Wsc_fleet.Machine} — with a recorder
+(** Run one application profile solo — the same placement
+    ({!Wsc_workload.Driver.job_sched}) and seed as a one-job
+    {!Wsc_fleet.Machine} — with a recorder
     attached, and return the finished driver (its allocator is reachable
     via {!Driver.backend}).  Because the probe only observes, the run is
     step-for-step identical to the same run without a recorder.  The caller

@@ -85,6 +85,18 @@ let execute_free t ~addr ~size ~thread =
   Backend.free_th t.backend ~thread:t.thread_ids.(thread) ~cpu addr ~size;
   match t.probe with Some p -> p.on_free ~addr ~cpu | None -> ()
 
+let job_sched platform ~first_cpu profile =
+  let cpus =
+    min (Wsc_hw.Topology.num_cpus platform) profile.Profile.threads.Threads.max_threads
+  in
+  (* Services whose ceiling exceeds half an LLC domain get spread across
+     domains by the scheduler (Sec. 4.2: applications span cache domains
+     because they are too large to fit or be scheduled within one). *)
+  let domains = max 1 (min 4 (cpus / 4)) in
+  if domains > 1 && Wsc_hw.Topology.num_domains platform > 1 then
+    Sched.spread platform ~first_cpu ~cpus ~domains
+  else Sched.slice platform ~first_cpu ~cpus
+
 let create ?(seed = 1) ?(lifetime_sample_every = 64) ?(series_cap = 0) ?faults ?probe
     ?audit_interval_ns ~profile ~sched ~backend ~clock () =
   let num_cpus = Wsc_hw.Topology.num_cpus (Backend.topology backend) in

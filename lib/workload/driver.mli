@@ -33,6 +33,15 @@ type probe = {
     capture a {e real} driver run — threads, churn, faults and all — as a
     replayable event stream. *)
 
+val job_sched : Wsc_hw.Topology.t -> first_cpu:int -> Profile.t -> Wsc_os.Sched.t
+(** The CPU quota the control plane gives one job of [profile] whose slice
+    starts at [first_cpu]: the profile's thread ceiling bounded by the
+    machine ({!Wsc_os.Sched.quota_size} of the result), spread across up
+    to four LLC domains when that ceiling exceeds half a domain.  The one
+    placement rule behind both {!Wsc_fleet.Machine} and
+    {!Wsc_trace.Recorder.record_app}, so a recorded solo run is the
+    one-job machine's run. *)
+
 val create :
   ?seed:int ->
   ?lifetime_sample_every:int ->

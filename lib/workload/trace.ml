@@ -1,63 +1,8 @@
-open Wsc_substrate
-
 type event =
   | Alloc of { id : int; size : int; cpu : int }
   | Free of { id : int; cpu : int }
   | Advance of { dt_ns : float }
   | Retire of { cpu : int; flush : bool }
-
-(* Mirror the driver's event generation, but emit events instead of calling
-   the allocator.  Object ids are allocation ordinals. *)
-let synthesize_into ?(seed = 1) ?(epoch_ns = Units.ms)
-    ?(num_cpus = Wsc_hw.Topology.num_cpus Wsc_hw.Topology.default) ~profile
-    ~duration_ns emit =
-  if num_cpus <= 0 then invalid_arg "Trace.synthesize_into: num_cpus <= 0";
-  let rng = Rng.create seed in
-  let pending : (int * int) Binheap.t = Binheap.create () (* (id, thread) *) in
-  let next_id = ref 0 in
-  let now = ref 0.0 in
-  let active_threads = ref 1 in
-  let next_thread_update = ref 0.0 in
-  let cpu_of_thread thread = thread mod num_cpus in
-  let allocate () =
-    let thread = Rng.int rng !active_threads in
-    let size = Profile.sample_size ~now:!now profile rng in
-    let id = !next_id in
-    incr next_id;
-    emit (Alloc { id; size; cpu = cpu_of_thread thread });
-    let lifetime = Profile.sample_lifetime profile rng ~size in
-    Binheap.push pending (!now +. lifetime) (id, thread)
-  in
-  while !now < duration_ns do
-    now := !now +. epoch_ns;
-    emit (Advance { dt_ns = epoch_ns });
-    if !now >= !next_thread_update then begin
-      next_thread_update := !now +. (0.25 *. Units.sec);
-      active_threads := Threads.count profile.Profile.threads rng ~now:!now
-    end;
-    List.iter
-      (fun (_, (id, thread)) ->
-        let cross = Rng.bernoulli rng profile.Profile.cross_thread_free_fraction in
-        let thread = if cross then Rng.int rng !active_threads else thread in
-        emit (Free { id; cpu = cpu_of_thread thread }))
-      (Binheap.pop_until pending !now);
-    let rate =
-      profile.Profile.requests_per_thread_per_sec
-      *. profile.Profile.allocs_per_request
-      *. float_of_int !active_threads
-    in
-    let expected = rate *. epoch_ns /. Units.sec in
-    let n =
-      let whole = int_of_float expected in
-      whole + (if Rng.bernoulli rng (expected -. float_of_int whole) then 1 else 0)
-    in
-    for _ = 1 to n do
-      allocate ()
-    done
-  done;
-  (* Close the trace: free every live object so replays end balanced. *)
-  Binheap.iter pending (fun _ (id, thread) ->
-      emit (Free { id; cpu = cpu_of_thread thread }))
 
 (* --- Text v1 line format ----------------------------------------------- *)
 

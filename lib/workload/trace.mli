@@ -1,17 +1,13 @@
-(** Allocation trace vocabulary: the event type, the streaming generator,
-    and the text v1 line codec.
+(** Allocation trace vocabulary: the event type and the text v1 line codec.
 
     A trace is a portable, deterministic recording of an allocation stream:
     alloc/free events with object identities, issuing CPUs and simulated
-    timestamps.  This module holds the pieces shared by every trace
-    pipeline; the actual storage and replay machinery is the streaming
+    timestamps.  Every trace comes from a real {!Driver} run captured by
+    {!module:Wsc_trace.Recorder}; this module holds only the pieces shared
+    by every trace pipeline.  Storage and replay live in the streaming
     [wsc_trace] library ({!module:Wsc_trace.Writer} /
     {!module:Wsc_trace.Reader} for constant-memory binary persistence,
-    {!module:Wsc_trace.Recorder} to capture live {!Driver} runs,
-    {!module:Wsc_trace.Replay} for streaming replay).  The legacy
-    list-materializing API ([of_events] / [events] / [replay] /
-    [save] / [load]) that previously lived here has been removed — it held
-    whole streams in memory and nothing used it outside its own tests. *)
+    {!module:Wsc_trace.Replay} for streaming replay). *)
 
 type event =
   | Alloc of { id : int; size : int; cpu : int }
@@ -24,24 +20,6 @@ type event =
           per-CPU cache drains to the transfer cache immediately.  Recorded
           driver runs include these so replay reproduces the allocator's
           cache state bit-exactly. *)
-
-val synthesize_into :
-  ?seed:int ->
-  ?epoch_ns:float ->
-  ?num_cpus:int ->
-  profile:Profile.t ->
-  duration_ns:float ->
-  (event -> unit) ->
-  unit
-(** Generate the exact event stream a {!Driver} with the same seed would
-    issue for [profile] over [duration_ns] (allocations, lifetime-driven
-    frees, cross-thread frees, time advances), feeding each event to the
-    callback as it is generated (e.g. [Wsc_trace.Writer.add]) — memory is
-    proportional to the live-object population, not the stream length.
-    The stream ends balanced: every live object is freed at the end.
-    [num_cpus] is the CPU count threads are folded onto (default: the CPU
-    count of {!Wsc_hw.Topology.default}).
-    @raise Invalid_argument if [num_cpus <= 0]. *)
 
 (** {2 Text v1 line codec}
 

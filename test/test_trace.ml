@@ -1,5 +1,5 @@
-(* Tests for the trace event vocabulary (streaming generator + text v1
-   line codec) and the sampler's heap-profile estimator. *)
+(* Tests for the trace event vocabulary (text v1 line codec) and the
+   sampler's heap-profile estimator. *)
 
 open Wsc_substrate
 open Wsc_workload
@@ -7,44 +7,6 @@ module Sampler = Wsc_tcmalloc.Sampler
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* Materialize a synthesized stream (fine at test scale). *)
-let synth ?(seed = 1) ~profile ~duration_ns () =
-  let out = ref [] in
-  Trace.synthesize_into ~seed ~profile ~duration_ns (fun ev -> out := ev :: !out);
-  List.rev !out
-
-let test_synthesize_deterministic () =
-  let run () = synth ~seed:9 ~profile:Apps.f1_query ~duration_ns:(0.5 *. Units.sec) () in
-  check_bool "same seed, same stream" true (run () = run ());
-  let other = synth ~seed:10 ~profile:Apps.f1_query ~duration_ns:(0.5 *. Units.sec) () in
-  check_bool "different seed, different stream" true (run () <> other)
-
-let test_synthesize_balanced () =
-  let events = synth ~seed:4 ~profile:Apps.monarch ~duration_ns:(0.5 *. Units.sec) () in
-  check_bool "nonempty" true (List.length events > 100);
-  let live = Hashtbl.create 1024 in
-  let allocs = ref 0 and frees = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Trace.Alloc { id; size; cpu } ->
-        check_bool "positive size" true (size > 0);
-        check_bool "valid cpu" true (cpu >= 0);
-        check_bool "fresh id" false (Hashtbl.mem live id);
-        Hashtbl.replace live id ();
-        incr allocs
-      | Trace.Free { id; cpu } ->
-        check_bool "valid cpu" true (cpu >= 0);
-        check_bool "free of live id" true (Hashtbl.mem live id);
-        Hashtbl.remove live id;
-        incr frees
-      | Trace.Advance { dt_ns } -> check_bool "positive dt" true (dt_ns > 0.0)
-      | Trace.Retire _ -> ())
-    events;
-  (* synthesize_into closes the stream with frees for everything live. *)
-  check_int "stream balances" !allocs !frees;
-  check_int "nothing live at the end" 0 (Hashtbl.length live)
 
 let test_line_roundtrip () =
   let fail () = Alcotest.fail "parse_line rejected a line_of_event output" in
@@ -77,16 +39,13 @@ let test_parse_line_rejects_garbage () =
 
 let test_line_roundtrip_property =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"synthesized_stream_text_roundtrip" ~count:10
+    (QCheck.Test.make ~name:"recorded_stream_text_roundtrip" ~count:10
        QCheck.(int_range 1 500)
        (fun seed ->
-         let events =
-           synth ~seed ~profile:Apps.redis ~duration_ns:(0.2 *. Units.sec) ()
-         in
          let fail () = QCheck.Test.fail_report "parse_line rejected a rendered line" in
-         List.for_all
+         Array.for_all
            (fun ev -> Trace.parse_line ~fail (Trace.line_of_event ev) = ev)
-           events))
+           (Fixtures.recorded_events ~seed)))
 
 (* {1 Sampler heap profiling} *)
 
@@ -115,8 +74,6 @@ let suite =
   [
     ( "trace",
       [
-        Alcotest.test_case "synthesize deterministic" `Quick test_synthesize_deterministic;
-        Alcotest.test_case "synthesize balanced" `Quick test_synthesize_balanced;
         Alcotest.test_case "line roundtrip" `Quick test_line_roundtrip;
         Alcotest.test_case "parse rejects garbage" `Quick test_parse_line_rejects_garbage;
         test_line_roundtrip_property;

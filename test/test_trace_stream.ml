@@ -321,11 +321,7 @@ let test_text_convert_equivalence =
     (QCheck.Test.make ~name:"text_v1_convert_equivalence" ~count:15
        QCheck.(int_range 1 500)
        (fun seed ->
-         let events = ref [] in
-         Trace.synthesize_into ~seed ~profile:Apps.redis
-           ~duration_ns:(0.2 *. Units.sec)
-           (fun ev -> events := ev :: !events);
-         let events = List.rev !events in
+         let events = Array.to_list (Fixtures.recorded_events ~seed) in
          with_temp (fun text_path ->
              with_temp (fun bin_path ->
                  (* Write the text v1 form a line at a time. *)

@@ -23,12 +23,7 @@ let backend_of_int i =
 
 (* A small shared event stream: enough traffic to separate configs, cheap
    enough to replay a few dozen times. *)
-let events =
-  lazy
-    (let acc = ref [] in
-     Wsc_workload.Trace.synthesize_into ~seed:3 ~profile:Wsc_workload.Apps.redis
-       ~duration_ns:(0.2 *. Units.sec) (fun ev -> acc := ev :: !acc);
-     Array.of_list (List.rev !acc))
+let events = lazy (Fixtures.recorded_events ~seed:3)
 
 (* {1 Genome space} *)
 
