@@ -217,13 +217,14 @@ let describe_storage c =
       c.storage_seed
 
 (* Like the chaos schedule, every storage decision is a pure function of its
-   coordinates — (seed, path, op_index) — so re-running the same write
-   sequence against the same path reproduces the identical damage, byte for
-   byte, regardless of process or wall time. *)
+   coordinates — (seed, file name, op_index) — so re-running the same write
+   sequence reproduces the identical damage, byte for byte, regardless of
+   process, wall time or the directory the files are written into (a fresh
+   temporary directory per run must not change the draw). *)
 let storage_rng c ~path ~op_index =
   Rng.create
     (((c.storage_seed * 1_000_003)
-     lxor (Hashtbl.hash path * 2_654_435_761)
+     lxor (Hashtbl.hash (Filename.basename path) * 2_654_435_761)
      lxor (op_index * 40_503))
     land max_int)
 

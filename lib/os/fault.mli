@@ -121,10 +121,12 @@ val chaos_event : chaos -> machine:int -> attempt:int -> chaos_event option
     Durable-artifact fault injection: bit rot, torn writes, truncations and
     rename failures applied to the bytes {!Wsc_trace.Writer} and
     [Wsc_persist.Persist] put on disk.  Every decision is a pure function of
-    (seed, path, op index) — the op index counts IO operations per path — so
-    a corruption scenario observed once can be replayed exactly in a test or
-    bench.  The schedules are consumed by {!Storage}, the IO shim the
-    writers thread their bytes through. *)
+    (seed, file name, op index) — the file name is the path's
+    [Filename.basename], so the directory a run writes into does not move
+    the draw; the op index counts IO operations per path — so a corruption
+    scenario observed once can be replayed exactly in a test or bench,
+    even from a fresh temporary directory.  The schedules are consumed by
+    {!Storage}, the IO shim the writers thread their bytes through. *)
 
 type storage = {
   storage_seed : int;  (** Root seed of every storage-fault stream. *)
@@ -167,7 +169,7 @@ val no_write_damage : write_damage
 
 val write_damage : storage -> path:string -> op_index:int -> len:int -> write_damage
 (** The (pure) damage drawn for the [op_index]-th IO op on [path], a write
-    of [len] bytes.  Flip offsets use geometric gap sampling, so cost is
+    of [len] bytes.  Only [Filename.basename path] enters the draw.  Flip offsets use geometric gap sampling, so cost is
     proportional to the number of flips, not [len]. *)
 
 val truncate_loss : storage -> path:string -> op_index:int -> len:int -> int

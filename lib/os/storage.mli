@@ -6,9 +6,11 @@
     out bit-identical to direct channel IO — while one built with an active
     {!Fault.storage} config injects the deterministic damage schedule
     (bit flips, torn writes, truncations, rename failures) at the exact
-    byte offsets drawn for [(seed, path, op_index)], so every corruption
-    scenario the salvage layer must survive is reproducible in tests and
-    benches.
+    byte offsets drawn for [(seed, file name, op_index)], so every
+    corruption scenario the salvage layer must survive is reproducible in
+    tests and benches.  The draw hashes the path's basename only, so the
+    same files written under a different (e.g. temporary) directory get
+    the same damage.
 
     One shim instance carries the per-path op counters; reuse the same
     instance for every file of one experiment so op indices (and therefore

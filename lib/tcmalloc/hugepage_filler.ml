@@ -19,13 +19,24 @@ type hugepage = {
   mutable free_count : int;
   mutable used_count : int;
   mutable released_count : int;
+  mutable first_free : int;  (* lowest free page index; pages_per_hugepage if none *)
   kind : set_kind;
 }
 
+(* Occupancy bitmap over the free-count buckets 0..pages_per_hugepage: bit
+   [f] is set iff bucket [f] holds a hugepage.  Words hold [word_bits] bits. *)
+let word_bits = Sys.int_size
+let bitmap_words = (pages_per_hugepage / word_bits) + 1
+
 type t = {
   hugepages : (addr, hugepage) Hashtbl.t;
-  (* buckets.(kind).(free_count) = hugepage bases with that many free pages *)
-  buckets : (addr, unit) Hashtbl.t array array;
+  (* buckets.(kind).(free_count) = hugepages with that many free pages, keyed
+     by base.  A bucket's table is created at its first insert and then
+     kept: its size, and so its iteration order, depends on its whole
+     insert/remove history, and that order picks among equally dense
+     hugepages. *)
+  buckets : (addr, hugepage) Hashtbl.t option array array;
+  occupied : int array array;  (* occupied.(kind) = bitmap over its buckets *)
   mutable used_pages : int;
   mutable free_pages : int;
   mutable released_pages : int;
@@ -34,16 +45,77 @@ type t = {
 let create () =
   {
     hugepages = Hashtbl.create 256;
-    buckets =
-      Array.init 2 (fun _ -> Array.init (pages_per_hugepage + 1) (fun _ -> Hashtbl.create 4));
+    buckets = Array.init 2 (fun _ -> Array.make (pages_per_hugepage + 1) None);
+    occupied = Array.init 2 (fun _ -> Array.make bitmap_words 0);
     used_pages = 0;
     free_pages = 0;
     released_pages = 0;
   }
 
-let bucket_of t hp = t.buckets.(kind_slot hp.kind).(hp.free_count)
-let bucket_remove t hp = Hashtbl.remove (bucket_of t hp) hp.base
-let bucket_insert t hp = Hashtbl.replace (bucket_of t hp) hp.base ()
+(* Index of the highest / lowest set bit of a nonzero word. *)
+let highest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w lsr 32 <> 0 then begin n := 32; w := !w lsr 32 end;
+  if !w lsr 16 <> 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w lsr 8 <> 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w lsr 4 <> 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w lsr 2 <> 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w lsr 1 <> 0 then !n + 1 else !n
+
+let lowest_bit w = highest_bit (w land -w)
+
+(* Lowest occupied bucket >= [f], or -1. *)
+let next_occupied bits f =
+  if f > pages_per_hugepage then -1
+  else begin
+    let i = ref (f / word_bits) in
+    let w = ref (bits.(!i) land (-1 lsl (f mod word_bits))) in
+    while !w = 0 && !i < bitmap_words - 1 do
+      incr i;
+      w := bits.(!i)
+    done;
+    if !w = 0 then -1 else (!i * word_bits) + lowest_bit !w
+  end
+
+(* Highest occupied bucket <= [f], or -1. *)
+let prev_occupied bits f =
+  if f < 0 then -1
+  else begin
+    let i = ref (f / word_bits) in
+    let w = ref (bits.(!i) land (-1 lsr (word_bits - 1 - (f mod word_bits)))) in
+    while !w = 0 && !i > 0 do
+      decr i;
+      w := bits.(!i)
+    done;
+    if !w = 0 then -1 else (!i * word_bits) + highest_bit !w
+  end
+
+let set_occupied bits f =
+  bits.(f / word_bits) <- bits.(f / word_bits) lor (1 lsl (f mod word_bits))
+
+let clear_occupied bits f =
+  bits.(f / word_bits) <- bits.(f / word_bits) land lnot (1 lsl (f mod word_bits))
+
+let bucket_remove t hp =
+  let slot = kind_slot hp.kind in
+  let bucket = Option.get t.buckets.(slot).(hp.free_count) in
+  Hashtbl.remove bucket hp.base;
+  if Hashtbl.length bucket = 0 then clear_occupied t.occupied.(slot) hp.free_count
+
+(* The hugepage is never in its bucket here, so [Hashtbl.add] puts it where
+   [Hashtbl.replace] would: at the head of its chain. *)
+let bucket_insert t hp =
+  let slot = kind_slot hp.kind and f = hp.free_count in
+  let bucket =
+    match t.buckets.(slot).(f) with
+    | Some bucket -> bucket
+    | None ->
+      let bucket = Hashtbl.create 4 in
+      t.buckets.(slot).(f) <- Some bucket;
+      bucket
+  in
+  Hashtbl.add bucket hp.base hp;
+  set_occupied t.occupied.(slot) f
 
 let hugepage_of_addr t a =
   match Hashtbl.find_opt t.hugepages (a - (a mod hugepage_size)) with
@@ -56,9 +128,7 @@ let add_hugepage t ~base ~kind ~donated:_ ~t_used =
   if t_used < 0 || t_used > pages_per_hugepage then
     invalid_arg "Hugepage_filler.add_hugepage: bad used prefix";
   let page_state = Bytes.make pages_per_hugepage st_free in
-  for i = 0 to t_used - 1 do
-    Bytes.set page_state i st_used
-  done;
+  Bytes.fill page_state 0 t_used st_used;
   let hp =
     {
       base;
@@ -66,6 +136,7 @@ let add_hugepage t ~base ~kind ~donated:_ ~t_used =
       free_count = pages_per_hugepage - t_used;
       used_count = t_used;
       released_count = 0;
+      first_free = t_used;
       kind;
     }
   in
@@ -74,51 +145,56 @@ let add_hugepage t ~base ~kind ~donated:_ ~t_used =
   t.used_pages <- t.used_pages + t_used;
   t.free_pages <- t.free_pages + hp.free_count
 
-(* First free run of length [n] in the hugepage, or -1. *)
-let find_run hp n =
-  let rec scan i run_start run_len =
-    if run_len = n then run_start
-    else if i = pages_per_hugepage then -1
-    else if Bytes.get hp.page_state i = st_free then
-      scan (i + 1) (if run_len = 0 then i else run_start) (run_len + 1)
-    else scan (i + 1) 0 0
-  in
-  scan 0 0 0
+(* First free page at or after [i], or pages_per_hugepage. *)
+let next_free hp i =
+  let i = ref i in
+  while !i < pages_per_hugepage && Bytes.get hp.page_state !i <> st_free do
+    incr i
+  done;
+  !i
+
+(* First free run of length [n] in the hugepage, or -1.  No page below
+   [first_free] is free, so the scan starts there.  Toplevel, so a probe
+   allocates no closure. *)
+let rec scan_run hp n i run_start run_len =
+  if run_len = n then run_start
+  else if i = pages_per_hugepage then -1
+  else if Bytes.get hp.page_state i = st_free then
+    scan_run hp n (i + 1) (if run_len = 0 then i else run_start) (run_len + 1)
+  else scan_run hp n (i + 1) 0 0
+
+let find_run hp n = scan_run hp n hp.first_free 0 0
 
 let mark hp first n state delta_used delta_free =
-  for i = first to first + n - 1 do
-    Bytes.set hp.page_state i state
-  done;
+  Bytes.fill hp.page_state first n state;
   hp.used_count <- hp.used_count + delta_used;
   hp.free_count <- hp.free_count + delta_free
+
+exception Found of hugepage * int
 
 let allocate t ~kind ~pages =
   if pages <= 0 || pages >= pages_per_hugepage then
     invalid_arg "Hugepage_filler.allocate: pages must be in (0, 256)";
   let slot = kind_slot kind in
-  (* Densest-first: scan buckets from the fewest free pages able to fit. *)
-  let found = ref None in
-  let f = ref pages in
-  while !found = None && !f <= pages_per_hugepage do
-    let bucket = t.buckets.(slot).(!f) in
-    (try
-       Hashtbl.iter
-         (fun base () ->
-           let hp = Hashtbl.find t.hugepages base in
-           let run = find_run hp pages in
-           if run >= 0 then begin
-             found := Some (hp, run);
-             raise Exit
-           end)
-         bucket
-     with Exit -> ());
-    incr f
-  done;
-  match !found with
-  | None -> None
-  | Some (hp, run) ->
+  let bits = t.occupied.(slot) and buckets = t.buckets.(slot) in
+  let probe _ hp =
+    let run = find_run hp pages in
+    if run >= 0 then raise (Found (hp, run))
+  in
+  (* Densest-first: visit the occupied buckets from the fewest free pages
+     able to fit. *)
+  match
+    let f = ref (next_occupied bits pages) in
+    while !f >= 0 do
+      Hashtbl.iter probe (Option.get buckets.(!f));
+      f := next_occupied bits (!f + 1)
+    done
+  with
+  | () -> None
+  | exception Found (hp, run) ->
     bucket_remove t hp;
     mark hp run pages st_used pages (-pages);
+    if run = hp.first_free then hp.first_free <- next_free hp (run + pages);
     bucket_insert t hp;
     t.used_pages <- t.used_pages + pages;
     t.free_pages <- t.free_pages - pages;
@@ -137,6 +213,7 @@ let free t a ~pages =
   done;
   bucket_remove t hp;
   mark hp first pages st_free (-pages) pages;
+  hp.first_free <- min hp.first_free first;
   t.used_pages <- t.used_pages - pages;
   t.free_pages <- t.free_pages + pages;
   if hp.used_count = 0 then begin
@@ -153,18 +230,19 @@ let free t a ~pages =
 
 let subrelease t vm ~max_pages =
   (* Sparsest-first: hugepages with the most free pages yield the most
-     memory per broken hugepage. *)
+     memory per broken hugepage.  Both sets are walked together, one
+     occupied free count at a time, Long_lived before Short_lived. *)
   let released = ref 0 in
-  let f = ref (pages_per_hugepage - 1) in
+  let prev f = max (prev_occupied t.occupied.(0) f) (prev_occupied t.occupied.(1) f) in
+  let f = ref (prev (pages_per_hugepage - 1)) in
   while !released < max_pages && !f > 0 do
     for slot = 0 to 1 do
-      if !released < max_pages then begin
-        let bucket = t.buckets.(slot).(!f) in
-        let bases = Hashtbl.fold (fun base () acc -> base :: acc) bucket [] in
+      match t.buckets.(slot).(!f) with
+      | Some bucket when !released < max_pages ->
+        let hps = Hashtbl.fold (fun _ hp acc -> hp :: acc) bucket [] in
         List.iter
-          (fun base ->
+          (fun hp ->
             if !released < max_pages then begin
-              let hp = Hashtbl.find t.hugepages base in
               let want = min hp.free_count (max_pages - !released) in
               if want > 0 then begin
                 bucket_remove t hp;
@@ -179,6 +257,7 @@ let subrelease t vm ~max_pages =
                 done;
                 hp.free_count <- hp.free_count - want;
                 hp.released_count <- hp.released_count + want;
+                hp.first_free <- next_free hp hp.first_free;
                 t.free_pages <- t.free_pages - want;
                 t.released_pages <- t.released_pages + want;
                 Wsc_os.Vm.subrelease vm hp.base ~pages:want;
@@ -186,10 +265,10 @@ let subrelease t vm ~max_pages =
                 released := !released + want
               end
             end)
-          bases
-      end
+          hps
+      | Some _ | None -> ()
     done;
-    decr f
+    f := prev (!f - 1)
   done;
   !released
 

@@ -13,7 +13,14 @@
 
     Page states inside a tracked hugepage: free (allocatable), used (owned
     by a span), or released (subreleased to the OS; unavailable until the
-    hugepage empties and is unmapped). *)
+    hugepage empties and is unmapped).
+
+    Each set files its hugepages in buckets by free-page count (0..256)
+    and keeps a bitmap of the non-empty buckets, so {!allocate} and
+    {!subrelease} jump between occupied buckets: placement cost depends on
+    the candidates visited, not on the 257 buckets.  Each hugepage also
+    records its lowest free page, where the run search starts.  Neither
+    index changes which hugepage or run is chosen. *)
 
 type addr = int
 
@@ -31,9 +38,12 @@ val add_hugepage : t -> base:addr -> kind:set_kind -> donated:bool -> t_used:int
 
 val allocate : t -> kind:set_kind -> pages:int -> addr option
 (** Carve a contiguous run of [pages] (< 256) from the densest hugepage of
-    the requested set that can hold it.  [None] when no tracked hugepage has
-    a large-enough free run — the pageheap then feeds a fresh hugepage in
-    via {!add_hugepage} and retries. *)
+    the requested set that can hold it: the occupied buckets are visited
+    from [pages] free pages up, each in its table's iteration order, and
+    the first hugepage with a long-enough free run gives its lowest such
+    run.  [None] when no tracked hugepage has a large-enough free run — the
+    pageheap then feeds a fresh hugepage in via {!add_hugepage} and
+    retries. *)
 
 type free_outcome =
   | Still_tracked  (** The hugepage retains other used pages. *)

@@ -10,7 +10,8 @@ type t = {
   obj_size : int;
   capacity : int;
   mutable outstanding : int;
-  free_slots : Int_stack.t;
+  mutable next_fresh : int;
+  returned_slots : Int_stack.t;
   slot_taken : Bytes.t;
   mutable list_index : int;
   birth_time : float;
@@ -20,12 +21,6 @@ let page_size = Units.tcmalloc_page_size
 
 let create_small ~id ~base ~size_class ~birth_time =
   let info = Size_class.info size_class in
-  let free_slots = Int_stack.create ~initial_capacity:info.capacity () in
-  (* Push high indices first so allocation proceeds from the span base up,
-     matching the address-order carving of the real allocator. *)
-  for slot = info.capacity - 1 downto 0 do
-    Int_stack.push free_slots slot
-  done;
   {
     id;
     base;
@@ -34,7 +29,8 @@ let create_small ~id ~base ~size_class ~birth_time =
     obj_size = info.size;
     capacity = info.capacity;
     outstanding = 0;
-    free_slots;
+    next_fresh = 0;
+    returned_slots = Int_stack.create ();
     slot_taken = Bytes.make info.capacity '\000';
     list_index = -1;
     birth_time;
@@ -49,7 +45,8 @@ let create_large ~id ~base ~pages ~birth_time =
     obj_size = pages * page_size;
     capacity = 1;
     outstanding = 0;
-    free_slots = Int_stack.create ~initial_capacity:1 ();
+    next_fresh = 0;
+    returned_slots = Int_stack.create ~initial_capacity:1 ();
     slot_taken = Bytes.make 1 '\000';
     list_index = -1;
     birth_time;
@@ -68,13 +65,22 @@ let pop_object t =
     t.base
   end
   else begin
-    match Int_stack.pop_opt t.free_slots with
-    | None -> invalid_arg "Span.pop_object: exhausted"
-    | Some slot ->
-      assert (Bytes.get t.slot_taken slot = '\000');
-      Bytes.set t.slot_taken slot '\001';
-      t.outstanding <- t.outstanding + 1;
-      t.base + (slot * t.obj_size)
+    (* Returned slots first, most recent first; then never-issued slots
+       from the span base up, matching the address-order carving of the
+       real allocator. *)
+    let slot =
+      if not (Int_stack.is_empty t.returned_slots) then Int_stack.pop t.returned_slots
+      else if t.next_fresh < t.capacity then begin
+        let slot = t.next_fresh in
+        t.next_fresh <- slot + 1;
+        slot
+      end
+      else invalid_arg "Span.pop_object: exhausted"
+    in
+    assert (Bytes.get t.slot_taken slot = '\000');
+    Bytes.set t.slot_taken slot '\001';
+    t.outstanding <- t.outstanding + 1;
+    t.base + (slot * t.obj_size)
   end
 
 let pop_objects t ~n =
@@ -103,7 +109,7 @@ let push_object t addr =
     if Bytes.get t.slot_taken slot = '\000' then
       invalid_arg "Span.push_object: double free";
     Bytes.set t.slot_taken slot '\000';
-    Int_stack.push t.free_slots slot;
+    Int_stack.push t.returned_slots slot;
     t.outstanding <- t.outstanding - 1
   end
 

@@ -21,7 +21,13 @@ type t = private {
   obj_size : int;  (** Class object size; for large spans, the span bytes. *)
   capacity : int;  (** Objects per span; 1 for large spans. *)
   mutable outstanding : int;  (** Objects currently extracted from the span. *)
-  free_slots : Wsc_substrate.Int_stack.t;  (** Free object indices. *)
+  mutable next_fresh : int;
+      (** Slots [next_fresh .. capacity - 1] have never been issued; they
+          are free and are carved in address order once [returned_slots]
+          is empty.  A new span starts at 0, so creating one costs O(1)
+          besides [slot_taken]. *)
+  returned_slots : Wsc_substrate.Int_stack.t;
+      (** Slots pushed back since carving, popped most recent first. *)
   slot_taken : Bytes.t;  (** Per-slot occupancy, for double-free detection. *)
   mutable list_index : int;  (** Central-free-list bucket, -1 if not listed. *)
   birth_time : float;  (** Simulated creation time (for lifetime studies). *)

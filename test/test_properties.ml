@@ -1,6 +1,7 @@
 (* Deeper property tests for the middle tier: conservation and uniqueness
    laws for the transfer cache, the central free list, and the hugepage
-   filler under adversarial random operation sequences. *)
+   filler under adversarial random operation sequences, and differentials
+   pinning the filler's and spans' indexes to the code they replaced. *)
 
 open Wsc_tcmalloc
 open Wsc_substrate
@@ -152,6 +153,171 @@ let filler_accounting =
         ops;
       !ok)
 
+(* The filler against its scanning reference (filler_reference.ml): the
+   same random sequence of hugepage adds (fresh, drained-and-reused, donated
+   tails with t_used > 0, batches that grow a bucket's table), placements
+   of 1-255 pages in both sets, frees of live runs and subreleases must
+   return the same values and leave the same page counts after every
+   operation.  Placement among equally dense hugepages follows each
+   bucket's table order, so this pins that order too. *)
+let filler_matches_reference =
+  let module R = Filler_reference in
+  let module F = Hugepage_filler in
+  let module Vm = Wsc_os.Vm in
+  let sizes = [| 1; 1; 1; 2; 2; 3; 4; 6; 8; 16; 32; 64 |] in
+  QCheck.Test.make ~name:"filler_matches_scanning_reference" ~count:150
+    QCheck.(list_of_size (Gen.int_range 20 400) (pair (int_range 0 99) (int_range 0 9999)))
+    (fun ops ->
+      let vm = Vm.create () and ref_vm = Vm.create () in
+      let f = F.create () and r = R.create () in
+      let live = ref [] and spare = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let fk long = if long then F.Long_lived else F.Short_lived
+      and rk long = if long then R.Long_lived else R.Short_lived in
+      let add ~long ~t_used =
+        let base =
+          match !spare with
+          | b :: rest ->
+            spare := rest;
+            b
+          | [] ->
+            let b = Vm.mmap vm ~hugepages:1 in
+            expect (Vm.mmap ref_vm ~hugepages:1 = b);
+            b
+        in
+        let donated = t_used > 0 in
+        F.add_hugepage f ~base ~kind:(fk long) ~donated ~t_used;
+        R.add_hugepage r ~base ~kind:(rk long) ~donated ~t_used;
+        if donated then live := (base, t_used) :: !live
+      in
+      let allocate ~long ~pages =
+        let a = F.allocate f ~kind:(fk long) ~pages in
+        expect (a = R.allocate r ~kind:(rk long) ~pages);
+        a
+      in
+      List.iter
+        (fun (op, p) ->
+          let long = p land 1 = 0 in
+          (if op < 10 then
+             add ~long ~t_used:(if p mod 4 = 0 then 1 + (p / 4 mod 255) else 0)
+           else if op < 12 then
+             for _ = 1 to 20 + (p mod 30) do
+               add ~long ~t_used:0
+             done
+           else if op < 60 then begin
+             let pages =
+               if p / 2 mod 3 = 0 then 1 + (p / 6 mod 255)
+               else sizes.(p / 6 mod Array.length sizes)
+             in
+             let placed =
+               match allocate ~long ~pages with
+               | Some _ as a -> a
+               | None ->
+                 add ~long ~t_used:0;
+                 allocate ~long ~pages
+             in
+             match placed with
+             | Some a -> live := (a, pages) :: !live
+             | None -> ok := false
+           end
+           else if op < 90 then begin
+             match !live with
+             | [] -> ()
+             | l ->
+               let a, pages = List.nth l (p mod List.length l) in
+               live := List.filter (fun (b, _) -> b <> a) l;
+               let outcome = function
+                 | F.Still_tracked -> None
+                 | F.Hugepage_empty b -> Some b
+               and ref_outcome = function
+                 | R.Still_tracked -> None
+                 | R.Hugepage_empty b -> Some b
+               in
+               let o = outcome (F.free f a ~pages) in
+               expect (o = ref_outcome (R.free r a ~pages));
+               Option.iter (fun b -> spare := b :: !spare) o
+           end
+           else
+             expect
+               (F.subrelease f vm ~max_pages:(p mod 300)
+               = R.subrelease r ref_vm ~max_pages:(p mod 300)));
+          expect (F.used_pages f = R.used_pages r);
+          expect (F.free_pages f = R.free_pages r);
+          expect (F.released_pages f = R.released_pages r);
+          expect (F.tracked_hugepages f = R.tracked_hugepages r);
+          expect (Vm.subrelease_calls vm = Vm.subrelease_calls ref_vm);
+          expect (Vm.resident_bytes vm = Vm.resident_bytes ref_vm))
+        ops;
+      !ok)
+
+(* Lazy span carving against the eager slot stack it replaced: every slot
+   index pushed up front, highest first, so pops run from the span base up
+   and returned slots come back most recent first.  Addresses, per-slot
+   freeness, counts and the wild/misaligned/double-free errors must match
+   over random pop/push runs in every size class. *)
+let span_matches_eager_model =
+  QCheck.Test.make ~name:"span_matches_eager_slot_stack" ~count:100
+    QCheck.(
+      pair (int_range 0 (Size_class.count - 1))
+        (list_of_size (Gen.int_range 1 600) (pair (int_range 0 9) (int_range 0 99_999))))
+    (fun (cls, ops) ->
+      let base = 64 * Units.hugepage_size in
+      let s = Span.create_small ~id:0 ~base ~size_class:cls ~birth_time:0.0 in
+      let obj = s.Span.obj_size and cap = s.Span.capacity in
+      let stack = ref (List.init cap Fun.id) and taken = Array.make cap false in
+      let outstanding = ref [] in
+      let model_pop () =
+        match !stack with
+        | [] -> invalid_arg "Span.pop_object: exhausted"
+        | slot :: rest ->
+          stack := rest;
+          taken.(slot) <- true;
+          outstanding := slot :: !outstanding;
+          base + (slot * obj)
+      in
+      let model_push addr =
+        if addr < base || addr >= base + Span.span_bytes s then
+          invalid_arg "Span.push_object: address outside span";
+        let off = addr - base in
+        if off mod obj <> 0 then invalid_arg "Span.push_object: misaligned object";
+        let slot = off / obj in
+        if not taken.(slot) then invalid_arg "Span.push_object: double free";
+        taken.(slot) <- false;
+        outstanding := List.filter (( <> ) slot) !outstanding;
+        stack := slot :: !stack
+      in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (op, p) ->
+          let slot_addr = base + (p mod cap * obj) in
+          let push addr =
+            expect (run (fun () -> Span.push_object s addr) = run (fun () -> model_push addr))
+          in
+          (match op with
+          | 0 | 1 | 2 | 3 -> expect (run (fun () -> Span.pop_object s) = run model_pop)
+          | 4 | 5 -> (
+            match !outstanding with
+            | [] -> push slot_addr
+            | l -> push (base + (List.nth l (p mod List.length l) * obj)))
+          | 6 -> push slot_addr
+          | 7 -> push (slot_addr + 1 + (p mod (obj - 1)))
+          | 8 -> push (if p land 1 = 0 then base - obj else base + Span.span_bytes s + (p mod obj))
+          | _ ->
+            let addr = if p land 1 = 0 then slot_addr else slot_addr + 1 + (p mod (obj - 1)) in
+            let off = addr - base in
+            expect
+              (Span.object_is_free s addr = (off mod obj = 0 && not taken.(off / obj))));
+          let n = List.length !outstanding in
+          expect (s.Span.outstanding = n);
+          expect (Span.free_objects s = cap - n);
+          expect (Span.is_exhausted s = (n = cap));
+          expect (Span.is_idle s = (n = 0)))
+        ops;
+      !ok)
+
 (* Whole-stack address-space safety: concurrent classes never hand out
    overlapping byte ranges (spot-checked via sorted interval scan). *)
 let no_overlapping_objects =
@@ -193,6 +359,8 @@ let suite =
         qcheck tc_uniqueness;
         qcheck cfl_conservation;
         qcheck filler_accounting;
+        qcheck filler_matches_reference;
+        qcheck span_matches_eager_model;
         qcheck no_overlapping_objects;
       ] );
   ]

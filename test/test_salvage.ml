@@ -65,6 +65,47 @@ let test_fault_schedule_pure () =
       check_bool "flip bit in range" true (bit >= 0 && bit < 8))
     d1.Fault.flips
 
+(* Only the file name enters the draw: a run writing into a fresh
+   temporary directory must get the damage every other run gets. *)
+let test_fault_schedule_ignores_directory () =
+  let c =
+    {
+      Fault.storage_seed = 7;
+      flip_rate = 0.01;
+      torn_write_rate = 0.5;
+      truncate_rate = 0.5;
+      rename_failure_rate = 0.5;
+    }
+  in
+  let a = "/tmp/wsc_salvage1a2b3c/flips.wtrace" and b = "run-2/out/flips.wtrace" in
+  for op_index = 0 to 19 do
+    check_bool "write damage" true
+      (Fault.write_damage c ~path:a ~op_index ~len:10_000
+      = Fault.write_damage c ~path:b ~op_index ~len:10_000);
+    check_int "truncation"
+      (Fault.truncate_loss c ~path:a ~op_index ~len:10_000)
+      (Fault.truncate_loss c ~path:b ~op_index ~len:10_000);
+    check_bool "rename failure"
+      (Fault.rename_fails c ~path:a ~op_index)
+      (Fault.rename_fails c ~path:b ~op_index)
+  done;
+  let faults = { Fault.no_storage_faults with Fault.storage_seed = 3; flip_rate = 1e-3 } in
+  let events =
+    List.init 3000 (fun i -> Trace.Alloc { id = i; size = 1 + (i mod 97); cpu = i mod 5 })
+  in
+  let write dir =
+    let storage = Storage.create ~faults () in
+    let path = Filename.concat dir "t.wtrace" in
+    write_events ~storage path events;
+    (Storage.flips storage, read_file path)
+  in
+  with_temp_dir @@ fun d1 ->
+  with_temp_dir @@ fun d2 ->
+  let flips1, bytes1 = write d1 and flips2, bytes2 = write d2 in
+  check_bool "flips drawn" true (flips1 > 0);
+  check_int "same flips in both directories" flips1 flips2;
+  check_bool "same damaged bytes in both directories" true (bytes1 = bytes2)
+
 let test_inactive_shim_is_transparent () =
   with_temp @@ fun a ->
   with_temp @@ fun b ->
@@ -429,6 +470,8 @@ let suite =
       [
         Alcotest.test_case "schedule is pure in (seed, path, op)" `Quick
           test_fault_schedule_pure;
+        Alcotest.test_case "schedule ignores the directory" `Quick
+          test_fault_schedule_ignores_directory;
         Alcotest.test_case "inactive shim transparent" `Quick
           test_inactive_shim_is_transparent;
       ] );
