@@ -110,12 +110,16 @@ let manifest_of_fleet fleet =
 
 (* --- Writing ---------------------------------------------------------- *)
 
+(* Append one section and return its payload CRC, which the directory
+   repeats. *)
 let add_section buf ~name ~payload =
+  let crc = Crc32.string payload in
   Buffer.add_uint8 buf (String.length name);
   Buffer.add_string buf name;
-  Buffer.add_int32_le buf (Int32.of_int (Crc32.string payload));
+  Buffer.add_int32_le buf (Int32.of_int crc);
   Buffer.add_int64_le buf (Int64.of_int (String.length payload));
-  Buffer.add_string buf payload
+  Buffer.add_string buf payload;
+  crc
 
 (* Build the canonical v2 container from raw section payloads.  This is
    the single construction path for both [save] and [repair], so a repair
@@ -128,14 +132,14 @@ let container_of_payloads ~meta ~manifest ~state =
   Buffer.add_string buf (String.make (header_bytes - String.length magic - 1) '\000');
   let dir = ref [] in
   let sec name payload =
-    dir := (name, Buffer.length buf, String.length payload, Crc32.string payload)
-           :: !dir;
-    add_section buf ~name ~payload
+    let off = Buffer.length buf in
+    let crc = add_section buf ~name ~payload in
+    dir := (name, off, String.length payload, crc) :: !dir
   in
   sec "meta" meta;
   sec "manifest" manifest;
   sec "state" state;
-  add_section buf ~name:"end" ~payload:"";
+  ignore (add_section buf ~name:"end" ~payload:"");
   let t = Buffer.create (String.length meta + String.length manifest + 256) in
   let entries = List.rev !dir in
   Buffer.add_uint8 t (List.length entries);

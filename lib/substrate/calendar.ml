@@ -2,24 +2,32 @@
    float nanosecond timestamps, bucketed on their integer ticks.
 
    Structure: [levels] wheels of [slots] buckets each.  Level [l] buckets
-   are [bucket_ns * slots^l] ns wide, so the top level spans beyond any
-   representable tick (2^63 ns ~ 292 years) — no overflow heap is needed;
-   the driver's "far future" startup allocations (1e18 ns) land in a top
-   wheel.  An event's level is the lowest whose 32-slot window, anchored at
-   the current drain position, reaches the event's bucket.  Advancing the
-   drain position cascades coarse buckets into finer wheels, so every event
-   is touched O(levels) times total and push/pop are O(1) amortized —
-   against O(log n) sift cost in {!Event_heap} (the differential-testing
-   reference for this module).
+   are [2^bucket_bits * slots^l] ns wide, and [levels] is the fewest
+   wheels whose top window reaches [max_tick] (2^61 ns ~ 73 years) — no
+   overflow heap is needed; the driver's "far future" startup allocations
+   (1e18 ns) land in a top wheel.  An event's level is the lowest whose
+   32-slot window, anchored at the current drain position, reaches the
+   event's bucket.  Advancing the drain position cascades coarse buckets
+   into finer wheels, so every event is touched O(levels) times total and
+   push/pop are O(1) amortized — against O(log n) sift cost in
+   {!Event_heap} (the differential-testing reference for this module).
+
+   Bucket width: the driver drains once per 1 ms epoch, so a level-0
+   bucket is about one epoch wide (2^20 ns).  An epoch drain then touches
+   one or two buckets of about one epoch's events each, which the
+   insertion sort handles cheaply.  Much narrower buckets make every drain
+   walk hundreds of mostly empty buckets, each through a [next_occupied]
+   scan of every wheel, and cascade each event through more wheels.
 
    Ordering contract: events are delivered in nondecreasing key order, and
    events with {e equal} keys are delivered in push (FIFO) order — each
    entry carries an insertion sequence number and buckets sort by
-   (key, seq) before draining.  The binary heap pops equal keys in
-   unspecified structure order instead; equal float keys only arise from
-   the driver's shared "far future" constant, whose drain order is
-   aggregate-insensitive, so the two queues produce identical simulation
-   outcomes (test_substrate pins the full-order equivalence modulo ties).
+   (key, seq) before draining.  The order is therefore the same at any
+   bucket width.  The binary heap pops equal keys in unspecified
+   structure order instead; equal float keys only arise from the driver's
+   shared "far future" constant, whose drain order is aggregate-
+   insensitive, so the two queues produce identical simulation outcomes
+   (test_eventloop pins the full-order equivalence modulo ties).
 
    Reentrancy: the drain callback must not push events (the driver's free
    events never allocate); pushes between drains are unrestricted. *)
@@ -27,9 +35,20 @@
 let slot_bits = 5
 let slots = 1 lsl slot_bits         (* 32 buckets per wheel *)
 let slot_mask = slots - 1
-let bucket_bits = 10                (* level-0 buckets are 1024 ns wide *)
-let levels = 11                     (* covers deltas up to 2^(10+5*11) > 2^63 *)
+let bucket_bits = 20                (* level-0 buckets are 2^20 ns ~ 1 ms wide *)
+let bucket_width_ns = 1 lsl bucket_bits
 let max_tick = max_int / 2
+
+let[@inline] shift_of_level l = bucket_bits + (slot_bits * l)
+
+(* The fewest wheels whose top window reaches [max_tick].  Every shift
+   stays below the word size: OCaml leaves [lsr] by 63 or more
+   unspecified. *)
+let levels =
+  let rec fit l = if max_tick lsr shift_of_level (l - 1) < slots then l else fit (l + 1) in
+  fit 1
+
+let () = assert (shift_of_level (levels - 1) < Sys.int_size)
 
 (* Entries in struct-of-arrays form: float keys stay unboxed, payloads are
    plain ints, and [seq] breaks equal-key ties in insertion order. *)
@@ -83,8 +102,6 @@ let create ?initial_capacity:_ () =
 
 let length t = t.len
 let is_empty t = t.len = 0
-
-let[@inline] shift_of_level l = bucket_bits + (slot_bits * l)
 
 let bucket_grow b =
   let cap = Array.length b.keys in
@@ -254,7 +271,7 @@ let drain_until t bound f =
         if start > t.cur then t.cur <- start;
         let bk = Array.unsafe_get t.buckets idx in
         sort_bucket bk;
-        let bucket_end = start + (1 lsl bucket_bits) in
+        let bucket_end = start + bucket_width_ns in
         if bucket_end <= target then begin
           (* Whole bucket is due: every key < bucket_end <= bound. *)
           let n = bk.blen in
@@ -323,7 +340,7 @@ let drain_payloads t bound f =
         if start > t.cur then t.cur <- start;
         let bk = Array.unsafe_get t.buckets idx in
         sort_bucket bk;
-        let bucket_end = start + (1 lsl bucket_bits) in
+        let bucket_end = start + bucket_width_ns in
         if bucket_end <= target then begin
           let n = bk.blen in
           bk.blen <- 0;

@@ -5,7 +5,8 @@
 
     Keys must be finite and non-negative.  The top wheel spans past any
     representable tick, so far-future sentinels (e.g. 1e18 ns) need no
-    overflow path.
+    overflow path.  Level-0 buckets are {!bucket_width_ns} wide, about one
+    1 ms driver epoch.
 
     Ordering contract: [drain_until] delivers events in nondecreasing key
     order; events with equal keys are delivered in push (FIFO) order.
@@ -15,6 +16,10 @@
     unrestricted. *)
 
 type t
+
+val bucket_width_ns : int
+(** Width of a level-0 bucket (2^20 ns).  Delivery order does not depend
+    on it; drain cost does. *)
 
 val create : ?initial_capacity:int -> unit -> t
 (** [initial_capacity] is accepted for {!Event_heap} interface parity and

@@ -1,8 +1,8 @@
 (* Open-addressing int -> int hash table over unboxed Bigarray storage.
 
-   The simulator's hottest tables (the allocator's freed-address set, the
-   leak sampler's tracked-address set, the trace recorder's addr -> id map)
-   are int-keyed, int-valued, and queried on every event.  [Hashtbl] costs
+   The simulator's hot tables (the leak sampler's tracked-address set, the
+   trace recorder's addr -> id map) are int-keyed, int-valued, and queried
+   on every event.  [Hashtbl] costs
    a bucket-list allocation per [replace] and an option per [find_opt];
    this table allocates nothing on any operation except a (rare) resize.
 

@@ -1,7 +1,7 @@
 (** Open-addressing int -> int hash table backed by unboxed Bigarray
     storage: no allocation on [mem]/[find]/[set]/[remove] (resizes aside),
     and the GC never scans the slots.  Used for the event-loop hot tables
-    (freed-address set, sampler tracking, recorder id map).
+    (sampler tracking, recorder id map).
 
     Keys must be greater than [min_int + 1]; the two smallest ints are
     reserved as internal slot markers. *)

@@ -175,17 +175,22 @@ let run m =
           vcpu walked counted)
     (Per_cpu_cache.populated_vcpus pcc);
 
-  (* 9. Torn-operation detection: no object address may appear twice across
-     the per-CPU and transfer tiers (a replayed commit would duplicate it),
-     and every cached address must belong to a registered small span of the
-     same class with its slot marked allocated (a lost commit would leave it
-     free in the span while a cache still hands it out). *)
+  (* 9. Torn-operation detection: every small object is in exactly one
+     place.  No address may appear twice across the per-CPU and transfer
+     tiers (a replayed commit would duplicate it); every cached address
+     must be a Cached slot of a registered small span of the same class (a
+     lost commit leaves it Free in the span, one that also handed it out
+     leaves it Held); the spans' Cached slots must number exactly the
+     cached addresses; and in each small span Held + Cached slots must
+     equal its outstanding count. *)
   let tc = Malloc.transfer_cache m in
   let locations : (int, string list) Hashtbl.t = Hashtbl.create 4096 in
   let note_addr a where =
     Hashtbl.replace locations a (where :: Option.value (Hashtbl.find_opt locations a) ~default:[])
   in
+  let cached_addrs = ref 0 in
   let check_cached a ~cls ~where =
+    incr cached_addrs;
     note_addr a where;
     match Page_map.lookup pm a with
     | None -> add "torn-operation" "%s caches wild address 0x%x (class %d)" where a cls
@@ -197,9 +202,18 @@ let run m =
         if span.Span.size_class <> cls then
           add "torn-operation" "%s caches 0x%x as class %d but span %d holds class %d"
             where a cls span.Span.id span.Span.size_class;
-        if Span.object_is_free span a then
-          add "torn-operation" "%s caches 0x%x, which is also free in span %d (lost commit)"
-            where a span.Span.id
+        if (a - span.Span.base) mod span.Span.obj_size <> 0 then
+          add "torn-operation" "%s caches 0x%x, misaligned in span %d" where a span.Span.id
+        else
+          match Span.slot_state span a with
+          | Span.Cached -> ()
+          | Span.Free ->
+            add "torn-operation" "%s caches 0x%x, which is also free in span %d (lost commit)"
+              where a span.Span.id
+          | Span.Held ->
+            add "torn-operation"
+              "%s caches 0x%x, which span %d marks held by the application" where a
+              span.Span.id
       end
   in
   Per_cpu_cache.iter_addrs pcc (fun ~vcpu ~cls a ->
@@ -213,6 +227,20 @@ let run m =
           (List.length where)
           (String.concat ", " (List.rev where)))
     locations;
+  let cached_slots = ref 0 in
+  List.iter
+    (fun s ->
+      if not (Span.is_large s) then begin
+        let held = Span.count_slots s Span.Held and cached = Span.count_slots s Span.Cached in
+        cached_slots := !cached_slots + cached;
+        if held + cached <> s.Span.outstanding then
+          add "torn-operation" "span %d has %d held + %d cached slots but %d outstanding"
+            s.Span.id held cached s.Span.outstanding
+      end)
+    spans;
+  if !cached_slots <> !cached_addrs then
+    add "torn-operation" "spans mark %d slots cached, the per-CPU and transfer tiers hold %d"
+      !cached_slots !cached_addrs;
 
   (* 10. Stranded ownership: a populated cache whose vCPU id is retired must
      be on the stranded-reclaim work list (otherwise its bytes leak until

@@ -21,10 +21,13 @@
       its tracked hugepages exactly;
     - {b front-end-accounting} — each per-CPU cache's used_bytes counter
       equals a direct walk of its class stacks;
-    - {b torn-operation} — no address is cached twice across the per-CPU
-      and transfer tiers (duplicated object), and every cached address
-      belongs to a matching-class small span with its slot allocated (a
-      lost commit leaves it free in the span);
+    - {b torn-operation} — every small object is in exactly one place: no
+      address is cached twice across the per-CPU and transfer tiers
+      (duplicated object); every cached address is a {!Span.Cached} slot
+      of a matching-class small span (a lost commit leaves it free in the
+      span); the spans' cached slots number exactly the cached addresses;
+      and each small span's held plus cached slots equal its outstanding
+      count;
     - {b stranded-ownership} — every populated cache of a retired vCPU id
       is on the stranded-reclaim work list.
 

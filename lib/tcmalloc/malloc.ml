@@ -40,14 +40,6 @@ type t = {
   telemetry : Telemetry.t;
   span_stats : Span_stats.t;
   mutable vcpu_domain : int array;  (* vcpu -> LLC domain of its physical CPU *)
-  (* Addresses currently cached in the per-CPU or transfer tiers (freed by
-     the app or prefilled, not yet re-issued).  Entries for objects that
-     drained back to their spans go stale harmlessly: they are purged the
-     moment the address is issued again, so an address the application
-     holds is never in this set.  Used to detect double frees of objects
-     still sitting in a cache, which the span-level occupancy check cannot
-     see. *)
-  in_flight : Int_table.t;
   (* Preemption injector; None runs the fast path atomically (pre-rseq). *)
   rseq : Rseq.t option;
   (* vCPU ids retired with a still-populated cache, awaiting the background
@@ -159,7 +151,6 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
       telemetry = Telemetry.create ();
       span_stats;
       vcpu_domain = Array.make 16 0;
-      in_flight = Int_table.create ~initial_capacity:4096 ();
       rseq;
       stranded_pending = Hashtbl.create 16;
       batch_buf = Array.make max_batch 0;
@@ -382,9 +373,6 @@ let alloc_miss t ~thread ~cpu ~vcpu ~cls =
       raise (Vm.Mmap_failed Vm.Transient_fault);
     let buf = t.batch_buf in
     let first = buf.(0) in
-    for i = 1 to count - 1 do
-      Int_table.set t.in_flight buf.(i) 1
-    done;
     let accepted = Per_cpu_cache.fill_from t.pcc ~vcpu ~cls ~buf ~lo:1 ~hi:count in
     if 1 + accepted < count then
       ignore
@@ -400,7 +388,6 @@ let alloc_miss t ~thread ~cpu ~vcpu ~cls =
          nothing; surface it so the retry-with-reclaim loop engages. *)
       raise (Vm.Mmap_failed Vm.Transient_fault)
     | first :: rest ->
-      List.iter (fun a -> Int_table.set t.in_flight a 1) rest;
       let rejected =
         match
           run_rseq t r ~thread ~cpu
@@ -412,6 +399,17 @@ let alloc_miss t ~thread ~cpu ~vcpu ~cls =
       if rejected <> [] then
         ignore (Transfer_cache.insert t.tc ~cls ~addrs:rejected ~domain ~now);
       first)
+
+(* The cached small object malloc returns goes to the application: its
+   span slot turns from cached to held. *)
+let hand_out t a =
+  let was_cached =
+    match Pageheap.span_of_addr t.pageheap a with
+    | Some span -> (
+      match Span.mark_held span a with Span.Cached -> true | Span.Held | Span.Free -> false)
+    | None -> false
+  in
+  if not was_cached then invalid_arg "Malloc.malloc: issued an object that was not cached"
 
 let malloc_attempt t ~thread ~cpu ~size =
   Telemetry.charge_prefetch t.telemetry Cost_model.prefetch_ns;
@@ -450,7 +448,7 @@ let malloc_attempt t ~thread ~cpu ~size =
              front end yielded nothing — take the refill slow path. *)
           alloc_miss t ~thread ~cpu ~vcpu:fo.fo_observed ~cls
     in
-    Int_table.remove t.in_flight a;
+    hand_out t a;
     Telemetry.record_alloc t.telemetry ~requested:size ~rounded:(Size_class.size cls);
     maybe_sample t a ~size;
     a
@@ -508,11 +506,12 @@ let free_large t a ~size =
     Span.push_object span a;
     Pageheap.free_span t.pageheap span
 
-(* Validate a small free before touching any cache state: wild pointers,
-   size-class mismatches, misaligned interior pointers, and double frees
-   (both of objects sitting free in their span and of objects still cached
-   in the per-CPU/transfer tiers) raise descriptive [Invalid_argument]. *)
-let check_small_free t a ~size ~cls =
+(* Accept a small free: wild pointers, size-class mismatches, misaligned
+   interior pointers, and double frees (both of objects sitting free in
+   their span and of objects still cached in the per-CPU/transfer tiers)
+   raise descriptive [Invalid_argument] before any state changes.  An
+   accepted object's span slot goes from held to cached. *)
+let accept_small_free t a ~size ~cls =
   match Pageheap.span_of_addr t.pageheap a with
   | None -> free_error ~what:"wild pointer" ~a ~size ~tier:"page-map"
   | Some span ->
@@ -526,12 +525,10 @@ let check_small_free t a ~size ~cls =
         ~a ~size ~tier:"central-free-list";
     if (a - span.Span.base) mod span.Span.obj_size <> 0 then
       free_error ~what:"misaligned free: interior pointer" ~a ~size ~tier:"central-free-list";
-    (* Span-tier check first: an object that drained back to its span may
-       still have a stale cache-tier marker, and the span is ground truth. *)
-    if Span.object_is_free span a then
-      free_error ~what:"double free" ~a ~size ~tier:"central-free-list";
-    if Int_table.mem t.in_flight a then
-      free_error ~what:"double free" ~a ~size ~tier:"front-end"
+    match Span.mark_cached span a with
+    | Span.Held -> ()
+    | Span.Cached -> free_error ~what:"double free" ~a ~size ~tier:"front-end"
+    | Span.Free -> free_error ~what:"double free" ~a ~size ~tier:"central-free-list"
 
 (* Deallocation miss: flush a batch (including this object) to the transfer
    cache.  Under rseq the flush is itself restartable; a flush whose budget
@@ -571,11 +568,10 @@ let free_th t ~thread ~cpu a ~size =
   let cls = Size_class.index_of_size size in
   if cls < 0 then free_large t a ~size
   else begin
-    check_small_free t a ~size ~cls;
+    accept_small_free t a ~size ~cls;
     charge t Cost_model.Per_cpu_cache;
     record_sampled_free t a;
     Telemetry.record_free t.telemetry ~requested:size ~rounded:(Size_class.size cls);
-    Int_table.set t.in_flight a 1;
     match t.rseq with
     | None ->
       let vcpu = cache_index_id t ~thread ~cpu in

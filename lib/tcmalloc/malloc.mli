@@ -53,7 +53,10 @@ val free : ?thread:int -> t -> cpu:int -> addr -> size:int -> unit
     defect, the address, the size, and the deepest tier consulted:
     wild pointers, size mismatches (wrong class or wrong large page count),
     misaligned interior pointers, and double frees — whether the object is
-    free in its span or still cached in the per-CPU/transfer tiers. *)
+    free in its span or still cached in the per-CPU/transfer tiers.  Both
+    are read from the object's {!Span.slot_state}: [malloc] marks the
+    object it returns held, and [free] accepts only a held object and
+    marks it cached. *)
 
 val malloc_th : t -> thread:int -> cpu:int -> size:int -> addr
 val free_th : t -> thread:int -> cpu:int -> addr -> size:int -> unit

@@ -12,10 +12,17 @@ type t = {
   mutable outstanding : int;
   mutable next_fresh : int;
   returned_slots : Int_stack.t;
-  slot_taken : Bytes.t;
+  slot_state : Bytes.t;
   mutable list_index : int;
   birth_time : float;
 }
+
+type slot_state = Free | Held | Cached
+
+(* Per-slot byte encoding of [slot_state]. *)
+let free_byte = '\000'
+let held_byte = '\001'
+let cached_byte = '\002'
 
 let page_size = Units.tcmalloc_page_size
 
@@ -31,7 +38,7 @@ let create_small ~id ~base ~size_class ~birth_time =
     outstanding = 0;
     next_fresh = 0;
     returned_slots = Int_stack.create ();
-    slot_taken = Bytes.make info.capacity '\000';
+    slot_state = Bytes.make info.capacity free_byte;
     list_index = -1;
     birth_time;
   }
@@ -47,7 +54,7 @@ let create_large ~id ~base ~pages ~birth_time =
     outstanding = 0;
     next_fresh = 0;
     returned_slots = Int_stack.create ~initial_capacity:1 ();
-    slot_taken = Bytes.make 1 '\000';
+    slot_state = Bytes.make 1 free_byte;
     list_index = -1;
     birth_time;
   }
@@ -77,8 +84,8 @@ let pop_object t =
       end
       else invalid_arg "Span.pop_object: exhausted"
     in
-    assert (Bytes.get t.slot_taken slot = '\000');
-    Bytes.set t.slot_taken slot '\001';
+    assert (Bytes.get t.slot_state slot = free_byte);
+    Bytes.set t.slot_state slot cached_byte;
     t.outstanding <- t.outstanding + 1;
     t.base + (slot * t.obj_size)
   end
@@ -96,29 +103,59 @@ let pop_objects_into t ~n ~buf ~pos =
 
 let contains t addr = addr >= t.base && addr < t.base + span_bytes t
 
+(* Slot index of an object address, with one division; [fn] names the
+   caller in the errors. *)
+let[@inline] slot_of ~fn t addr =
+  if not (contains t addr) then invalid_arg (fn ^ ": address outside span");
+  let offset = addr - t.base in
+  let slot = offset / t.obj_size in
+  if slot * t.obj_size <> offset then invalid_arg (fn ^ ": misaligned object");
+  slot
+
 let push_object t addr =
-  if not (contains t addr) then invalid_arg "Span.push_object: address outside span";
   if is_large t then begin
+    if not (contains t addr) then invalid_arg "Span.push_object: address outside span";
     if t.outstanding = 0 then invalid_arg "Span.push_object: large span double free";
     t.outstanding <- 0
   end
   else begin
-    let offset = addr - t.base in
-    if offset mod t.obj_size <> 0 then invalid_arg "Span.push_object: misaligned object";
-    let slot = offset / t.obj_size in
-    if Bytes.get t.slot_taken slot = '\000' then
+    let slot = slot_of ~fn:"Span.push_object" t addr in
+    if Bytes.get t.slot_state slot = free_byte then
       invalid_arg "Span.push_object: double free";
-    Bytes.set t.slot_taken slot '\000';
+    Bytes.set t.slot_state slot free_byte;
     Int_stack.push t.returned_slots slot;
     t.outstanding <- t.outstanding - 1
   end
 
-let object_is_free t addr =
-  if not (contains t addr) then invalid_arg "Span.object_is_free: address outside span";
-  if is_large t then t.outstanding = 0
+let[@inline] state_of_byte b =
+  if b = free_byte then Free else if b = held_byte then Held else Cached
+
+let slot_state t addr =
+  if is_large t then invalid_arg "Span.slot_state: large span";
+  state_of_byte (Bytes.get t.slot_state (slot_of ~fn:"Span.slot_state" t addr))
+
+(* Cached <-> Held relabels an object without moving it.  Compare-and-set:
+   the slot changes only when it is in [from], and the state found is
+   returned so the caller can name what went wrong. *)
+let[@inline] relabel ~fn t addr ~from ~into =
+  if is_large t then invalid_arg (fn ^ ": large span");
+  let slot = slot_of ~fn t addr in
+  let b = Bytes.get t.slot_state slot in
+  if b = from then Bytes.set t.slot_state slot into;
+  state_of_byte b
+
+let mark_held t addr = relabel ~fn:"Span.mark_held" t addr ~from:cached_byte ~into:held_byte
+let mark_cached t addr = relabel ~fn:"Span.mark_cached" t addr ~from:held_byte ~into:cached_byte
+
+let count_slots t state =
+  if is_large t then 0
   else begin
-    let offset = addr - t.base in
-    offset mod t.obj_size = 0 && Bytes.get t.slot_taken (offset / t.obj_size) = '\000'
+    let b = match state with Free -> free_byte | Held -> held_byte | Cached -> cached_byte in
+    let n = ref 0 in
+    for slot = 0 to t.capacity - 1 do
+      if Bytes.unsafe_get t.slot_state slot = b then incr n
+    done;
+    !n
   end
 
 let fragmented_bytes t = free_objects t * t.obj_size

@@ -1,15 +1,31 @@
 (** Spans: contiguous runs of TCMalloc pages carved into same-class objects
     (Sec. 2.1, Fig. 2).
 
-    A small-object span belongs to exactly one size class and tracks which
-    of its [capacity] object slots are outstanding.  "Outstanding" counts
-    objects held anywhere above the central free list — by the application
-    *or* cached in the per-CPU/transfer tiers; only objects returned to the
-    central free list are free within the span.  A span whose outstanding
-    count drops to zero may be returned to the pageheap.
+    A small-object span belongs to exactly one size class and records, in
+    one byte per object slot, where each of its [capacity] objects is
+    (Sec. 2: every object is in exactly one place):
+
+    - {!Free} — in the span, on the central free list;
+    - {!Cached} — above the central free list, in a per-CPU or transfer
+      cache;
+    - {!Held} — held by the application.
+
+    The calls that move an object:
+    - {!pop_object} carves a Free slot and hands it to the caches as
+      Cached;
+    - {!mark_held} (malloc handing a cached object to the application)
+      turns Cached into Held;
+    - {!mark_cached} (free taking it back into the caches) turns Held
+      into Cached;
+    - {!push_object} returns a Cached (or Held) object to the span as Free.
+
+    "Outstanding" counts the Held and Cached objects.  A span whose
+    outstanding count drops to zero may be returned to the pageheap.  The
+    slot state is what catches a double free: of an object free in its
+    span and of one still sitting in a cache.
 
     A large span (one allocation > 256 KiB) bypasses the object machinery:
-    it has no size class and is returned whole. *)
+    it has no size class and no slot states, and is returned whole. *)
 
 type addr = int
 
@@ -25,13 +41,15 @@ type t = private {
       (** Slots [next_fresh .. capacity - 1] have never been issued; they
           are free and are carved in address order once [returned_slots]
           is empty.  A new span starts at 0, so creating one costs O(1)
-          besides [slot_taken]. *)
+          besides [slot_state]. *)
   returned_slots : Wsc_substrate.Int_stack.t;
       (** Slots pushed back since carving, popped most recent first. *)
-  slot_taken : Bytes.t;  (** Per-slot occupancy, for double-free detection. *)
+  slot_state : Bytes.t;  (** One {!slot_state} byte per object slot. *)
   mutable list_index : int;  (** Central-free-list bucket, -1 if not listed. *)
   birth_time : float;  (** Simulated creation time (for lifetime studies). *)
 }
+
+type slot_state = Free | Held | Cached
 
 val create_small : id:int -> base:addr -> size_class:int -> birth_time:float -> t
 (** A fresh, fully-free span of the given class (geometry from
@@ -52,7 +70,8 @@ val is_idle : t -> bool
 (** No outstanding objects; the span can return to the pageheap. *)
 
 val pop_object : t -> addr
-(** Extract one object.  @raise Invalid_argument when exhausted. *)
+(** Extract one object; a small object leaves the span {!Cached}.
+    @raise Invalid_argument when exhausted. *)
 
 val pop_objects : t -> n:int -> addr list
 (** Extract up to [n] objects. *)
@@ -64,17 +83,33 @@ val pop_objects_into : t -> n:int -> buf:addr array -> pos:int -> int
     scratch buffer. *)
 
 val push_object : t -> addr -> unit
-(** Return an object to the span.  @raise Invalid_argument if the address
-    does not belong to this span, is misaligned, or the slot is already
-    free (double free). *)
+(** Return an object to the span as {!Free}.  @raise Invalid_argument if
+    the address does not belong to this span, is misaligned, or the slot
+    is already free (double free). *)
 
 val contains : t -> addr -> bool
 
-val object_is_free : t -> addr -> bool
-(** Whether the object slot holding [addr] is currently free within the
-    span (i.e. pushing it again would be a double free).  For large spans,
-    whether the whole span is idle.
-    @raise Invalid_argument if the address is outside the span. *)
+val slot_state : t -> addr -> slot_state
+(** Where the small object at [addr] is.
+    @raise Invalid_argument on a large span, or an address outside the
+    span or misaligned. *)
+
+val mark_held : t -> addr -> slot_state
+(** {!Cached} -> {!Held}, what malloc does to the cached object it hands
+    to the application.  The slot changes only if it is {!Cached}; the
+    state found is returned either way.
+    @raise Invalid_argument on a large span, or an address outside the
+    span or misaligned. *)
+
+val mark_cached : t -> addr -> slot_state
+(** {!Held} -> {!Cached}, what free does to the object it takes back into
+    the caches.  The slot changes only if it is {!Held}; the state found is
+    returned either way, so a double free names where the object was.
+    @raise Invalid_argument as {!mark_held}. *)
+
+val count_slots : t -> slot_state -> int
+(** Small-object slots in the given state, by a walk of all [capacity]
+    slots (for the heap audit); 0 for a large span. *)
 
 val fragmented_bytes : t -> int
 (** Free object slots x object size — the external fragmentation this span

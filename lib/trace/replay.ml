@@ -40,7 +40,7 @@ let run_events ?(config = Wsc_tcmalloc.Config.baseline)
         incr frees
       | Event.Advance { dt_ns } ->
         Clock.advance clock dt_ns;
-        let rss = (Backend.heap_stats backend).Malloc.resident_bytes in
+        let rss = Backend.resident_bytes backend in
         if rss > !peak then peak := rss
       | Event.Retire { cpu; flush } ->
         Backend.cpu_idle ~flush backend ~cpu:(cpu mod num_cpus);

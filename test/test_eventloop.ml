@@ -24,7 +24,7 @@ let sched_gen =
   QCheck.Gen.(
     list_size (int_range 20 300)
       (frequency
-         [ (3, map (fun k -> Push k) (int_range 0 9)); (1, map (fun d -> Drain d) (int_range 0 3)) ]))
+         [ (3, map (fun k -> Push k) (int_range 0 23)); (1, map (fun d -> Drain d) (int_range 0 7)) ]))
 
 let sched_arb =
   QCheck.make sched_gen
@@ -32,25 +32,47 @@ let sched_arb =
       String.concat ";"
         (List.map (function Push k -> Printf.sprintf "P%d" k | Drain d -> Printf.sprintf "D%d" d) steps))
 
-(* Key pool: exact ties (same selector -> same float), sub-bucket spacings
-   (< 1024 ns, landing in one calendar bucket), multi-level spacings, and
-   the startup-burst sentinel. *)
+(* Key pool, in units of the level-0 bucket width [w]: exact ties (same
+   selector -> same float), offsets well inside one bucket, offsets of
+   w - 1, w and w + 1 and of several widths, keys on and just below the
+   next bucket boundary (one fractional), one key per coarser wheel, the
+   startup-burst sentinel, and a key past the last representable tick. *)
+let width = float_of_int Calendar.bucket_width_ns
+let next_boundary now = (floor (now /. width) +. 1.0) *. width
+
 let key_of_selector ~now = function
   | 0 | 1 -> now +. 1.0 (* frequent exact ties, same bucket as now *)
   | 2 -> now +. 100.0
-  | 3 -> now +. 999.0 (* still level-0 bucket scale *)
+  | 3 -> now +. 999.0
   | 4 -> now +. 5_000.0
   | 5 -> now +. 300_000.0
-  | 6 -> now +. 5.0e7
-  | 7 -> now +. 3.0e9 (* deep wheel levels *)
-  | 8 -> now
-  | _ -> 1.0e18 (* far-future: startup-burst "lives forever" events *)
+  | 6 -> now
+  | 7 -> now +. width -. 1.0
+  | 8 -> now +. width
+  | 9 -> now +. width +. 1.0
+  | 10 -> now +. (3.0 *. width)
+  | 11 -> now +. (7.5 *. width)
+  | 12 -> next_boundary now
+  | 13 -> next_boundary now -. 1.0
+  | 14 -> next_boundary now -. 0.5
+  | k when k <= 21 ->
+    (* 1.5 buckets of wheel 1 .. 7: each coarser wheel gets events. *)
+    now +. (1.5 *. width *. (32.0 ** float_of_int (k - 14)))
+  | 22 -> 1.0e18 (* far-future: startup-burst "lives forever" events *)
+  | _ -> 3.0e18 (* beyond the last tick: clamped into the top wheel *)
 
-let advance_of_selector = function
-  | 0 -> 0.0 (* drain at now: empty or equal-key-only drains *)
-  | 1 -> 512.0
-  | 2 -> 4096.0
-  | _ -> 1.0e6
+(* Drain bounds: sub-bucket steps, one 1 ms driver epoch, exactly one
+   bucket width, the last whole nanosecond of the current bucket, whole
+   buckets, and a jump past the level-0 window (a cascade from wheel 1). *)
+let bound_of_selector ~now = function
+  | 0 -> now (* drain at now: empty or equal-key-only drains *)
+  | 1 -> now +. 512.0
+  | 2 -> now +. 4096.0
+  | 3 -> now +. 1.0e6
+  | 4 -> now +. width
+  | 5 -> next_boundary now -. 1.0
+  | 6 -> now +. (3.0 *. width)
+  | _ -> now +. (40.0 *. width)
 
 let run_schedule steps ~push ~drain =
   let now = ref 0.0 in
@@ -63,7 +85,7 @@ let run_schedule steps ~push ~drain =
         push key !seq;
         incr seq
       | Drain d ->
-        now := !now +. advance_of_selector d;
+        now := bound_of_selector ~now:!now d;
         drain !now)
     steps;
   (* Final full drain flushes the far-future sentinels too. *)
@@ -143,6 +165,27 @@ let watermark_resort () =
   (* equal-key tie with a=2 *)
   Calendar.drain_until cal 1023.0 record;
   Alcotest.(check (list int)) "sorted with FIFO ties" [ 1; 3; 2; 4; 0 ] (List.rev !order)
+
+(* Directed boundary case: keys one below, on and one above bucket edges
+   drain exactly up to each bound, including a whole-bucket drain. *)
+let bucket_boundaries () =
+  let cal = Calendar.create () in
+  let w = width in
+  List.iteri
+    (fun i key -> Calendar.push cal key ~a:i ~b:0 ~c:0)
+    [ (2.0 *. w) +. 1.0; w; 2.0 *. w; w -. 1.0; w +. 1.0; (2.0 *. w) -. 1.0 ];
+  let drained bound =
+    let out = ref [] in
+    Calendar.drain_until cal bound (fun ~key ~a:_ ~b:_ ~c:_ -> out := key :: !out);
+    List.rev !out
+  in
+  let check_keys what expect got = Alcotest.(check (list (float 0.0))) what expect got in
+  check_keys "up to w - 1" [ w -. 1.0 ] (drained (w -. 1.0));
+  check_keys "up to w" [ w ] (drained w);
+  check_keys "up to 2w (bucket [w, 2w) whole)" [ w +. 1.0; (2.0 *. w) -. 1.0; 2.0 *. w ]
+    (drained (2.0 *. w));
+  check_int "one left" 1 (Calendar.length cal);
+  check_keys "the rest" [ (2.0 *. w) +. 1.0 ] (drained infinity)
 
 (* {1 Guide-table samplers vs reference searches} *)
 
@@ -369,6 +412,7 @@ let suite =
           qcheck calendar_matches_event_heap;
           qcheck drain_payloads_matches_drain_until;
           Alcotest.test_case "watermark resort after partial drain" `Quick watermark_resort;
+          Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;
         ] );
       ( "samplers",
         [

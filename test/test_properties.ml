@@ -253,39 +253,49 @@ let filler_matches_reference =
 
 (* Lazy span carving against the eager slot stack it replaced: every slot
    index pushed up front, highest first, so pops run from the span base up
-   and returned slots come back most recent first.  Addresses, per-slot
-   freeness, counts and the wild/misaligned/double-free errors must match
-   over random pop/push runs in every size class. *)
+   and returned slots come back most recent first.  The model also keeps
+   each slot's state (free, held, cached).  Addresses, slot states, counts,
+   the wild/misaligned/double-free errors and the states the relabels find
+   must match over random pop/push/mark runs in every size class. *)
 let span_matches_eager_model =
   QCheck.Test.make ~name:"span_matches_eager_slot_stack" ~count:100
     QCheck.(
       pair (int_range 0 (Size_class.count - 1))
-        (list_of_size (Gen.int_range 1 600) (pair (int_range 0 9) (int_range 0 99_999))))
+        (list_of_size (Gen.int_range 1 600) (pair (int_range 0 11) (int_range 0 99_999))))
     (fun (cls, ops) ->
       let base = 64 * Units.hugepage_size in
       let s = Span.create_small ~id:0 ~base ~size_class:cls ~birth_time:0.0 in
       let obj = s.Span.obj_size and cap = s.Span.capacity in
-      let stack = ref (List.init cap Fun.id) and taken = Array.make cap false in
+      let stack = ref (List.init cap Fun.id) and state = Array.make cap Span.Free in
       let outstanding = ref [] in
       let model_pop () =
         match !stack with
         | [] -> invalid_arg "Span.pop_object: exhausted"
         | slot :: rest ->
           stack := rest;
-          taken.(slot) <- true;
+          state.(slot) <- Span.Cached;
           outstanding := slot :: !outstanding;
           base + (slot * obj)
       in
-      let model_push addr =
+      let model_slot fn addr =
         if addr < base || addr >= base + Span.span_bytes s then
-          invalid_arg "Span.push_object: address outside span";
+          invalid_arg (fn ^ ": address outside span");
         let off = addr - base in
-        if off mod obj <> 0 then invalid_arg "Span.push_object: misaligned object";
-        let slot = off / obj in
-        if not taken.(slot) then invalid_arg "Span.push_object: double free";
-        taken.(slot) <- false;
+        if off mod obj <> 0 then invalid_arg (fn ^ ": misaligned object");
+        off / obj
+      in
+      let model_push addr =
+        let slot = model_slot "Span.push_object" addr in
+        if state.(slot) = Span.Free then invalid_arg "Span.push_object: double free";
+        state.(slot) <- Span.Free;
         outstanding := List.filter (( <> ) slot) !outstanding;
         stack := slot :: !stack
+      in
+      let model_mark fn ~from ~into addr =
+        let slot = model_slot fn addr in
+        let found = state.(slot) in
+        if found = from then state.(slot) <- into;
+        found
       in
       let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
       let ok = ref true in
@@ -293,28 +303,50 @@ let span_matches_eager_model =
       List.iter
         (fun (op, p) ->
           let slot_addr = base + (p mod cap * obj) in
+          let some_outstanding () =
+            match !outstanding with
+            | [] -> slot_addr
+            | l -> base + (List.nth l (p mod List.length l) * obj)
+          in
+          (* Relabel mostly an outstanding object, sometimes any slot. *)
+          let target () = if p land 3 = 0 then slot_addr else some_outstanding () in
           let push addr =
             expect (run (fun () -> Span.push_object s addr) = run (fun () -> model_push addr))
           in
           (match op with
           | 0 | 1 | 2 | 3 -> expect (run (fun () -> Span.pop_object s) = run model_pop)
-          | 4 | 5 -> (
-            match !outstanding with
-            | [] -> push slot_addr
-            | l -> push (base + (List.nth l (p mod List.length l) * obj)))
+          | 4 | 5 -> push (some_outstanding ())
           | 6 -> push slot_addr
           | 7 -> push (slot_addr + 1 + (p mod (obj - 1)))
           | 8 -> push (if p land 1 = 0 then base - obj else base + Span.span_bytes s + (p mod obj))
-          | _ ->
+          | 9 ->
             let addr = if p land 1 = 0 then slot_addr else slot_addr + 1 + (p mod (obj - 1)) in
-            let off = addr - base in
             expect
-              (Span.object_is_free s addr = (off mod obj = 0 && not taken.(off / obj))));
+              (run (fun () -> Span.slot_state s addr)
+              = run (fun () -> state.(model_slot "Span.slot_state" addr)))
+          | 10 ->
+            let addr = target () in
+            expect
+              (run (fun () -> Span.mark_held s addr)
+              = run (fun () ->
+                    model_mark "Span.mark_held" ~from:Span.Cached ~into:Span.Held addr))
+          | _ ->
+            let addr = target () in
+            expect
+              (run (fun () -> Span.mark_cached s addr)
+              = run (fun () ->
+                    model_mark "Span.mark_cached" ~from:Span.Held ~into:Span.Cached addr)));
           let n = List.length !outstanding in
+          let count st = Array.fold_left (fun k x -> if x = st then k + 1 else k) 0 state in
           expect (s.Span.outstanding = n);
           expect (Span.free_objects s = cap - n);
           expect (Span.is_exhausted s = (n = cap));
-          expect (Span.is_idle s = (n = 0)))
+          expect (Span.is_idle s = (n = 0));
+          if p mod 16 = 0 then
+            expect
+              (Span.count_slots s Span.Held = count Span.Held
+              && Span.count_slots s Span.Cached = count Span.Cached
+              && Span.count_slots s Span.Free = count Span.Free))
         ops;
       !ok)
 

@@ -12,6 +12,9 @@ module Backend = Wsc_backend.Backend
 module Telemetry = Wsc_tcmalloc.Telemetry
 module Audit = Wsc_tcmalloc.Audit
 module Per_cpu_cache = Wsc_tcmalloc.Per_cpu_cache
+module Pageheap = Wsc_tcmalloc.Pageheap
+module Span = Wsc_tcmalloc.Span
+module Rseq = Wsc_os.Rseq
 module Apps = Wsc_workload.Apps
 module Driver = Wsc_workload.Driver
 module Machine = Wsc_fleet.Machine
@@ -50,7 +53,7 @@ let test_double_free_cached_tier () =
   let a = Malloc.malloc m ~cpu:0 ~size:128 in
   Malloc.free m ~cpu:0 a ~size:128;
   (* The object sits in the per-CPU cache: the span still counts it
-     outstanding, so only the in-flight set can catch this. *)
+     outstanding, and its slot state (cached, not held) catches this. *)
   expect_free_error [ "double free"; "tier=front-end"; Printf.sprintf "addr=0x%x" a ]
     (fun () -> Malloc.free m ~cpu:0 a ~size:128)
 
@@ -113,6 +116,102 @@ let prop_double_free_detected =
              | () -> false
              | exception Invalid_argument _ -> true)
            addrs))
+
+(* Double-free detection under address reuse: random malloc / free /
+   re-free / reclaim / CPU-idle / clock-advance runs against a model of the
+   addresses the application holds.  Frees feed the caches malloc draws
+   from and reclaim returns spans for reuse, so addresses are reissued; a
+   re-free of a reissued address is a legal free.  A free must raise
+   exactly when the model says the address is not held, with the rseq
+   injector off and on, and the heap must audit clean at the end. *)
+type df_op =
+  | Df_malloc of int * int  (* size-class selector, cpu *)
+  | Df_free of int * int  (* held-address selector, cpu *)
+  | Df_refree of int * int  (* freed-address selector, cpu *)
+  | Df_release of int  (* target KiB *)
+  | Df_idle of int * bool  (* cpu, flush *)
+  | Df_advance of int  (* ms *)
+
+let df_op_print = function
+  | Df_malloc (c, cpu) -> Printf.sprintf "malloc(%d,cpu%d)" c cpu
+  | Df_free (i, cpu) -> Printf.sprintf "free(%d,cpu%d)" i cpu
+  | Df_refree (i, cpu) -> Printf.sprintf "refree(%d,cpu%d)" i cpu
+  | Df_release k -> Printf.sprintf "release(%dKiB)" k
+  | Df_idle (cpu, flush) -> Printf.sprintf "idle(cpu%d,%b)" cpu flush
+  | Df_advance ms -> Printf.sprintf "advance(%dms)" ms
+
+let df_ops_arb =
+  let open QCheck.Gen in
+  let cpu = int_bound 7 and sel = int_bound 1_000_000 in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map df_op_print ops))
+    (list_size (int_range 1 400)
+       (frequency
+          [
+            (6, map2 (fun c cpu -> Df_malloc (c, cpu)) sel cpu);
+            (4, map2 (fun i cpu -> Df_free (i, cpu)) sel cpu);
+            (3, map2 (fun i cpu -> Df_refree (i, cpu)) sel cpu);
+            (1, map (fun k -> Df_release k) (int_range 1 4096));
+            (1, map2 (fun cpu flush -> Df_idle (cpu, flush)) cpu bool);
+            (1, map (fun ms -> Df_advance ms) (int_range 1 1500));
+          ]))
+
+let run_double_free_model ~preempt_prob ops =
+  let clock = Clock.create () in
+  let rseq =
+    if preempt_prob > 0.0 then
+      Some (Rseq.create { Rseq.seed = 3; preempt_prob; max_restarts = 3 })
+    else None
+  in
+  let m = Malloc.create ?rseq ~topology:Topology.default ~clock () in
+  (* Application-held (addr, size), and every freed (addr, size), most
+     recent first. *)
+  let held = ref [] and freed = ref [] in
+  let pick l i = List.nth l (i mod List.length l) in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let free_held ~cpu (a, size) =
+    held := List.filter (fun (b, _) -> b <> a) !held;
+    freed := (a, size) :: !freed;
+    not (raises (fun () -> Malloc.free m ~cpu a ~size))
+  in
+  let ok =
+    List.for_all
+      (function
+        | Df_malloc (c, cpu) ->
+          (* Mostly the small classes, so objects are reissued; sometimes
+             any class. *)
+          let cls = if c mod 4 = 0 then c mod Size_class.count else c mod 12 in
+          let size = Size_class.size cls in
+          let a = Malloc.malloc m ~cpu ~size in
+          let fresh = not (List.mem_assoc a !held) in
+          held := (a, size) :: !held;
+          fresh
+        | Df_free (_, _) when !held = [] -> true
+        | Df_free (i, cpu) -> free_held ~cpu (pick !held i)
+        | Df_refree (_, _) when !freed = [] -> true
+        | Df_refree (i, cpu) -> (
+          (* Mostly a recent free, still cached; sometimes any. *)
+          let recent = List.filteri (fun k _ -> k < 8) !freed in
+          let a, size = pick (if i land 1 = 0 then recent else !freed) (i lsr 1) in
+          match List.assoc_opt a !held with
+          | Some size -> free_held ~cpu (a, size)
+          | None -> raises (fun () -> Malloc.free m ~cpu a ~size))
+        | Df_release kib ->
+          ignore (Malloc.release_memory m ~target_bytes:(kib * 1024));
+          true
+        | Df_idle (cpu, flush) ->
+          Malloc.cpu_idle ~flush m ~cpu;
+          true
+        | Df_advance ms ->
+          Clock.advance clock (float_of_int ms *. Units.ms);
+          true)
+      ops
+  in
+  ok && Audit.is_clean (Audit.run m)
+
+let prop_double_free_model ~name ~preempt_prob =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:60 df_ops_arb (run_double_free_model ~preempt_prob))
 
 let prop_wrong_size_free_detected =
   QCheck_alcotest.to_alcotest
@@ -259,6 +358,25 @@ let test_audit_reports_hard_limit_breach () =
     (List.exists (fun v -> v.Audit.check = "hard-limit") r.Audit.violations);
   check_bool "printable" true (contains (Audit.to_string r) "hard-limit")
 
+(* Every small object is in exactly one place: relabelling one through
+   {!Span} without moving it must be reported. *)
+let slot_flip_reported flip () =
+  let _, m = make_malloc () in
+  let held = List.init 20 (fun _ -> Malloc.malloc m ~cpu:0 ~size:128) in
+  let cached = Malloc.malloc m ~cpu:0 ~size:128 in
+  Malloc.free m ~cpu:0 cached ~size:128;
+  check_bool "clean before the flip" true (Audit.is_clean (Audit.run m));
+  let span_of a = Option.get (Pageheap.span_of_addr (Malloc.pageheap m) a) in
+  (match flip with
+  | `Cached_to_held -> ignore (Span.mark_held (span_of cached) cached)
+  | `Held_to_cached ->
+    let a = List.hd held in
+    ignore (Span.mark_cached (span_of a) a));
+  let r = Audit.run m in
+  check_bool "violation reported" false (Audit.is_clean r);
+  check_bool "named check" true
+    (List.exists (fun v -> v.Audit.check = "torn-operation") r.Audit.violations)
+
 (* {1 Integration: survival under limits and faults} *)
 
 let pressure_fault_config =
@@ -372,6 +490,8 @@ let suite =
         Alcotest.test_case "small free of large alloc" `Quick test_small_free_of_large_alloc;
         Alcotest.test_case "large free errors" `Quick test_large_free_errors;
         prop_double_free_detected;
+        prop_double_free_model ~name:"free_raises_iff_not_held" ~preempt_prob:0.0;
+        prop_double_free_model ~name:"free_raises_iff_not_held_rseq" ~preempt_prob:0.05;
         prop_wrong_size_free_detected;
       ] );
     ( "reclaim",
@@ -389,6 +509,10 @@ let suite =
         Alcotest.test_case "clean heaps stay clean" `Quick test_audit_clean;
         Alcotest.test_case "hard limit breach reported" `Quick
           test_audit_reports_hard_limit_breach;
+        Alcotest.test_case "cached object marked held reported" `Quick
+          (slot_flip_reported `Cached_to_held);
+        Alcotest.test_case "held object marked cached reported" `Quick
+          (slot_flip_reported `Held_to_cached);
       ] );
     ( "pressure_integration",
       [
