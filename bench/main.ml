@@ -494,6 +494,7 @@ let fig13 () =
   let pin_burst = ref 0 in
   let pending = Calendar.create () in
   let due = ref [] in
+  let batch = Array.make 80 0 and mmaps = ref 0 in
   let dt = 10.0 *. Units.ms in
   let on_len = 9.0 *. Units.sec and cycle_len = 24.0 *. Units.sec in
   let duration = sec 300.0 in
@@ -509,28 +510,29 @@ let fig13 () =
     end;
     let in_on_phase = Float.rem !now cycle_len < on_len in
     if in_on_phase then begin
-      let addrs, _ =
-        Wsc_tcmalloc.Central_free_list.remove_objects cfl ~cls ~n:80 ~now:!now
+      let k =
+        Wsc_tcmalloc.Central_free_list.remove_objects_into cfl ~cls ~n:80 ~now:!now
+          ~buf:batch ~pos:0 ~mmaps
       in
-      List.iter
-        (fun a ->
-          let pinned =
-            if !pin_burst > 0 then begin
-              decr pin_burst;
-              true
-            end
-            else if Rng.bernoulli rng 0.0001 then begin
-              pin_burst := 150;
-              true
-            end
-            else false
-          in
-          let lifetime =
-            if pinned then 1e18
-            else Dist.sample (Dist.exponential ~mean:(1.0 *. Units.sec)) rng
-          in
-          Calendar.push pending (!now +. lifetime) ~a ~b:0 ~c:0)
-        addrs
+      (* Newest object first. *)
+      for i = k - 1 downto 0 do
+        let pinned =
+          if !pin_burst > 0 then begin
+            decr pin_burst;
+            true
+          end
+          else if Rng.bernoulli rng 0.0001 then begin
+            pin_burst := 150;
+            true
+          end
+          else false
+        in
+        let lifetime =
+          if pinned then 1e18
+          else Dist.sample (Dist.exponential ~mean:(1.0 *. Units.sec)) rng
+        in
+        Calendar.push pending (!now +. lifetime) ~a:batch.(i) ~b:0 ~c:0
+      done
     end;
     if !now >= !next_snapshot then begin
       next_snapshot := !now +. (0.5 *. Units.sec);
@@ -948,6 +950,23 @@ let json_number ~key text =
   in
   find 0
 
+(* The committed baseline a [--smoke] gate compares against.  A missing
+   file, or a missing field, fails the gate: a gate with nothing to compare
+   against must not pass. *)
+let committed_text ~bench path =
+  if not (Sys.file_exists path) then begin
+    Printf.eprintf "%s: --smoke needs the committed %s\n" bench path;
+    exit 1
+  end;
+  In_channel.with_open_bin path In_channel.input_all
+
+let committed_number ~bench path ~key =
+  match json_number ~key (committed_text ~bench path) with
+  | Some v -> v
+  | None ->
+    Printf.eprintf "%s: committed %s has no %S field\n" bench path key;
+    exit 1
+
 (* Host CPU model, for honest context next to any speedup/throughput claim
    in the committed JSON.  Linux-specific best effort; "unknown" elsewhere. *)
 let host_model () =
@@ -1085,41 +1104,26 @@ let simperf () =
        hosts are noisy) and an allocation ceiling (minor words/event <=
        1.25x committed — the stable metric that catches a re-boxed hot
        path even when the clock is too noisy to). *)
-    let committed_text =
-      if Sys.file_exists simperf_json then begin
-        let ic = open_in simperf_json in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Some text
-      end
-      else None
+    let committed = committed_number ~bench:"simperf" simperf_json ~key:"events_per_sec" in
+    let ratio = events_per_sec /. committed in
+    note "committed events/sec: %.0f; measured %.0f (%.0f%%)" committed events_per_sec
+      (100.0 *. ratio);
+    if ratio < 0.8 then begin
+      Printf.eprintf
+        "simperf: events/sec regressed more than 20%% vs committed %s (%.0f -> %.0f)\n"
+        simperf_json committed events_per_sec;
+      exit 1
+    end;
+    let committed_words =
+      committed_number ~bench:"simperf" simperf_json ~key:"minor_words_per_event"
     in
-    match committed_text with
-    | None -> note "no committed %s; skipping the regression gates." simperf_json
-    | Some text ->
-      (match json_number ~key:"events_per_sec" text with
-      | None -> note "committed %s has no events_per_sec; skipping floor." simperf_json
-      | Some committed ->
-        let ratio = events_per_sec /. committed in
-        note "committed events/sec: %.0f; measured %.0f (%.0f%%)" committed events_per_sec
-          (100.0 *. ratio);
-        if ratio < 0.8 then begin
-          Printf.eprintf
-            "simperf: events/sec regressed more than 20%% vs committed %s (%.0f -> %.0f)\n"
-            simperf_json committed events_per_sec;
-          exit 1
-        end);
-      (match json_number ~key:"minor_words_per_event" text with
-      | None -> note "committed %s has no minor_words_per_event; skipping ceiling." simperf_json
-      | Some committed_words ->
-        note "committed minor words/event: %.1f; measured %.1f" committed_words
-          words_per_event;
-        if words_per_event > (committed_words *. 1.25) +. 0.5 then begin
-          Printf.eprintf
-            "simperf: minor words/event grew more than 25%% vs committed %s (%.1f -> %.1f)\n"
-            simperf_json committed_words words_per_event;
-          exit 1
-        end)
+    note "committed minor words/event: %.1f; measured %.1f" committed_words words_per_event;
+    if words_per_event > (committed_words *. 1.25) +. 0.5 then begin
+      Printf.eprintf
+        "simperf: minor words/event grew more than 25%% vs committed %s (%.1f -> %.1f)\n"
+        simperf_json committed_words words_per_event;
+      exit 1
+    end
   end
   else begin
     let oc = open_out simperf_json in
@@ -1232,27 +1236,19 @@ let tracecodec () =
         exit 1
       end;
       if !smoke then begin
-        match
-          if Sys.file_exists tracecodec_json then begin
-            let ic = open_in tracecodec_json in
-            let text = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            json_number ~key:"decode_events_per_sec" text
-          end
-          else None
-        with
-        | None -> note "no committed %s; skipping the regression gate." tracecodec_json
-        | Some committed ->
-          let r = decode_eps /. committed in
-          note "committed decode events/sec: %.0f; measured %.0f (%.0f%%)" committed
-            decode_eps (100.0 *. r);
-          if r < 0.7 then begin
-            Printf.eprintf
-              "tracecodec: decode throughput regressed more than 30%% vs committed %s \
-               (%.0f -> %.0f)\n"
-              tracecodec_json committed decode_eps;
-            exit 1
-          end
+        let committed =
+          committed_number ~bench:"tracecodec" tracecodec_json ~key:"decode_events_per_sec"
+        in
+        let r = decode_eps /. committed in
+        note "committed decode events/sec: %.0f; measured %.0f (%.0f%%)" committed decode_eps
+          (100.0 *. r);
+        if r < 0.7 then begin
+          Printf.eprintf
+            "tracecodec: decode throughput regressed more than 30%% vs committed %s \
+             (%.0f -> %.0f)\n"
+            tracecodec_json committed decode_eps;
+          exit 1
+        end
       end
       else begin
         let oc = open_out tracecodec_json in
@@ -1543,31 +1539,23 @@ let fleetcampaign () =
   note "heap high-water mark: %.1f MB (supervisor state is O(shard = %d))" heap_mb
     spec.Campaign.shard_size;
   if !smoke then begin
-    match
-      if Sys.file_exists fleetcampaign_json then begin
-        let ic = open_in fleetcampaign_json in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        json_number ~key:"machine_epochs_per_sec" text
-      end
-      else None
-    with
-    | None -> note "no committed %s; skipping the regression gate." fleetcampaign_json
-    | Some committed ->
-      let ratio = machine_epochs_per_sec /. committed in
-      note "committed machine-epochs/sec: %.0f; measured %.0f (%.0f%%)" committed
-        machine_epochs_per_sec (100.0 *. ratio);
-      (* The smoke campaign is ~1/6 of the committed width, so domain
-         spawn and warmup amortize worse and it measures ~70-75% of the
-         committed rate on an idle machine; 0.5 leaves CI headroom while
-         still catching a 2x slowdown. *)
-      if ratio < 0.5 then begin
-        Printf.eprintf
-          "fleetcampaign: machine-epochs/sec fell below half of committed %s \
-           (%.0f -> %.0f)\n"
-          fleetcampaign_json committed machine_epochs_per_sec;
-        exit 1
-      end
+    let committed =
+      committed_number ~bench:"fleetcampaign" fleetcampaign_json ~key:"machine_epochs_per_sec"
+    in
+    let ratio = machine_epochs_per_sec /. committed in
+    note "committed machine-epochs/sec: %.0f; measured %.0f (%.0f%%)" committed
+      machine_epochs_per_sec (100.0 *. ratio);
+    (* The smoke campaign is ~1/6 of the committed width, so domain
+       spawn and warmup amortize worse and it measures ~70-75% of the
+       committed rate on an idle machine; 0.5 leaves CI headroom while
+       still catching a 2x slowdown. *)
+    if ratio < 0.5 then begin
+      Printf.eprintf
+        "fleetcampaign: machine-epochs/sec fell below half of committed %s \
+         (%.0f -> %.0f)\n"
+        fleetcampaign_json committed machine_epochs_per_sec;
+      exit 1
+    end
   end
   else begin
     let oc = open_out fleetcampaign_json in
@@ -1816,26 +1804,18 @@ let salvage () =
     List.find (fun (r, _, _, _, _) -> r = 1e-6) arms
   in
   if !smoke then begin
-    match
-      if Sys.file_exists salvage_json then begin
-        let ic = open_in salvage_json in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        json_number ~key:"scan_events_per_sec_1e6" text
-      end
-      else None
-    with
-    | None -> note "no committed %s; skipping the regression gate." salvage_json
-    | Some committed ->
-      let r = scan_eps_1e6 /. committed in
-      note "committed salvage-scan events/sec: %.0f; measured %.0f (%.0f%%)" committed
-        scan_eps_1e6 (100.0 *. r);
-      if r < 0.4 then begin
-        Printf.eprintf
-          "salvage: scan throughput fell below 40%% of committed %s (%.0f -> %.0f)\n"
-          salvage_json committed scan_eps_1e6;
-        exit 1
-      end
+    let committed =
+      committed_number ~bench:"salvage" salvage_json ~key:"scan_events_per_sec_1e6"
+    in
+    let r = scan_eps_1e6 /. committed in
+    note "committed salvage-scan events/sec: %.0f; measured %.0f (%.0f%%)" committed
+      scan_eps_1e6 (100.0 *. r);
+    if r < 0.4 then begin
+      Printf.eprintf
+        "salvage: scan throughput fell below 40%% of committed %s (%.0f -> %.0f)\n"
+        salvage_json committed scan_eps_1e6;
+      exit 1
+    end
   end
   else begin
     let oc = open_out salvage_json in
@@ -1888,23 +1868,13 @@ let arena_bench () =
     dead;
   if dead <> [] then exit 1;
   if !smoke then begin
-    let committed =
-      if Sys.file_exists arena_json then begin
-        let ic = open_in_bin arena_json in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic)))
-      end
-      else None
-    in
-    match committed with
-    | None -> note "no committed %s; skipping the determinism gate." arena_json
-    | Some text -> (
-      match Arena.check_committed ~committed:text report with
-      | [] -> note "all deterministic cells match committed %s" arena_json
-      | msgs ->
-        List.iter (fun m -> Printf.eprintf "arena: %s\n" m) msgs;
-        exit 1)
+    match
+      Arena.check_committed ~committed:(committed_text ~bench:"arena" arena_json) report
+    with
+    | [] -> note "all deterministic cells match committed %s" arena_json
+    | msgs ->
+      List.iter (fun m -> Printf.eprintf "arena: %s\n" m) msgs;
+      exit 1
   end
   else begin
     let oc = open_out arena_json in
@@ -2006,23 +1976,13 @@ let tune_bench () =
     exit 1
   end;
   if !smoke then begin
-    let committed =
-      if Sys.file_exists tune_json then begin
-        let ic = open_in_bin tune_json in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic)))
-      end
-      else None
-    in
-    match committed with
-    | None -> note "no committed %s; skipping the determinism gate." tune_json
-    | Some text -> (
-      match Tuner.check_committed ~sweeps ~committed:text report with
-      | [] -> note "all deterministic lines match committed %s" tune_json
-      | msgs ->
-        List.iter (fun m -> Printf.eprintf "tune: %s\n" m) msgs;
-        exit 1)
+    match
+      Tuner.check_committed ~sweeps ~committed:(committed_text ~bench:"tune" tune_json) report
+    with
+    | [] -> note "all deterministic lines match committed %s" tune_json
+    | msgs ->
+      List.iter (fun m -> Printf.eprintf "tune: %s\n" m) msgs;
+      exit 1
   end
   else begin
     let oc = open_out tune_json in
@@ -2071,17 +2031,22 @@ let () =
   let selected =
     match args with [] | [ "all" ] -> List.map fst experiments | names -> names
   in
+  (* Reject a misspelled name before running anything, so a gate that
+     names an experiment that does not exist fails instead of passing. *)
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name experiments) then begin
+        Printf.eprintf "bench: unknown experiment %S; known: %s\n" name
+          (String.concat ", " (List.map fst experiments));
+        exit 124
+      end)
+    selected;
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some run ->
-        Printf.printf "\n###### %s ######\n%!" name;
-        let t = Unix.gettimeofday () in
-        run ();
-        Printf.printf "[%s took %.1fs]\n%!" name (Unix.gettimeofday () -. t)
-      | None ->
-        Printf.eprintf "unknown experiment %S; known: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
+      Printf.printf "\n###### %s ######\n%!" name;
+      let t = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      Printf.printf "[%s took %.1fs]\n%!" name (Unix.gettimeofday () -. t))
     selected;
   Printf.printf "\nTotal bench time: %.1fs\n%!" (Unix.gettimeofday () -. t0)

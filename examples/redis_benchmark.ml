@@ -39,5 +39,6 @@ let () =
   (* Redis is single-threaded: exactly one per-CPU cache gets populated,
      which is why the paper omits it from the per-CPU cache study. *)
   Printf.printf "  populated per-CPU caches: %d (single-threaded)\n"
-    (Tcmalloc.Per_cpu_cache.populated_caches
-       (Malloc.per_cpu_caches (Backend.tc_exn job.Fleet_sim.Machine.backend)))
+    (List.length
+       (Tcmalloc.Per_cpu_cache.populated_vcpus
+          (Malloc.per_cpu_caches (Backend.tc_exn job.Fleet_sim.Machine.backend))))

@@ -29,9 +29,6 @@ let step_of_index = function
   | 3 -> Commit
   | i -> invalid_arg (Printf.sprintf "Rseq.step_of_index: %d not in [0, %d)" i n_steps)
 
-type 'a staged = { value : 'a; commit : unit -> unit }
-type 'a result = { outcome : 'a option; restarts : int }
-
 type stats = {
   ops : int;
   committed : int;
@@ -79,83 +76,45 @@ let preempted_at t step =
   | Some _ | None ->
     t.config.preempt_prob > 0.0 && Rng.bernoulli t.rng t.config.preempt_prob
 
-let run t ~read_vcpu ~stage =
-  t.ops <- t.ops + 1;
-  let rec attempt restarts =
-    (* One pass through the critical section.  Every step may be the
-       preemption point; past the last one the commit store is considered
-       to have landed, so all mutation happens exactly once or never. *)
-    let outcome =
-      if preempted_at t Read_vcpu then None
+(* One attempt passes through the critical section; every step may be the
+   preemption point.  Past the last one the commit store is considered to
+   have landed, so all mutation happens exactly once or never.  A toplevel
+   function, not a local closure, so an operation allocates nothing. *)
+let rec attempt t ~read_vcpu ~prepare ~commit restarts =
+  let committed =
+    if preempted_at t Read_vcpu then false
+    else begin
+      let vcpu = read_vcpu () in
+      if preempted_at t Pick_class then false
       else begin
-        let vcpu = read_vcpu () in
-        if preempted_at t Pick_class then None
+        prepare vcpu;
+        if preempted_at t Prepare || preempted_at t Commit then false
         else begin
-          let staged = stage ~vcpu in
-          if preempted_at t Prepare || preempted_at t Commit then None
-          else begin
-            staged.commit ();
-            Some staged.value
-          end
+          commit ();
+          true
         end
       end
-    in
-    match outcome with
-    | Some v ->
-      t.committed <- t.committed + 1;
-      { outcome = Some v; restarts }
-    | None ->
-      if restarts >= t.config.max_restarts then begin
-        t.fallbacks <- t.fallbacks + 1;
-        { outcome = None; restarts }
-      end
-      else begin
-        t.total_restarts <- t.total_restarts + 1;
-        attempt (restarts + 1)
-      end
+    end
   in
-  attempt 0
+  if committed then begin
+    t.committed <- t.committed + 1;
+    restarts
+  end
+  else if restarts >= t.config.max_restarts then begin
+    t.fallbacks <- t.fallbacks + 1;
+    -1 - restarts
+  end
+  else begin
+    t.total_restarts <- t.total_restarts + 1;
+    attempt t ~read_vcpu ~prepare ~commit (restarts + 1)
+  end
 
-(* Allocation-free twin of [run] for the per-event fast paths: instead of a
-   staged record per attempt, the caller supplies [prepare] (stages into a
-   reusable buffer it owns) and [commit] (applies that buffer), both
-   preallocated closures.  The preemption-point structure and RNG draw
-   order are identical to [run], so swapping a call site between the two
-   changes no simulated outcome.  Returns [restarts >= 0] when the
-   operation committed after that many restarts, and [-1 - restarts] when
-   the restart budget ran out (fallback). *)
+(* Returns [restarts >= 0] when the operation committed after that many
+   restarts, and [-1 - restarts] when the restart budget ran out
+   (fallback). *)
 let run_op t ~read_vcpu ~prepare ~commit =
   t.ops <- t.ops + 1;
-  let rec attempt restarts =
-    let committed =
-      if preempted_at t Read_vcpu then false
-      else begin
-        let vcpu = read_vcpu () in
-        if preempted_at t Pick_class then false
-        else begin
-          prepare vcpu;
-          if preempted_at t Prepare || preempted_at t Commit then false
-          else begin
-            commit ();
-            true
-          end
-        end
-      end
-    in
-    if committed then begin
-      t.committed <- t.committed + 1;
-      restarts
-    end
-    else if restarts >= t.config.max_restarts then begin
-      t.fallbacks <- t.fallbacks + 1;
-      -1 - restarts
-    end
-    else begin
-      t.total_restarts <- t.total_restarts + 1;
-      attempt (restarts + 1)
-    end
-  in
-  attempt 0
+  attempt t ~read_vcpu ~prepare ~commit 0
 
 let stats t =
   {

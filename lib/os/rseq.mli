@@ -21,10 +21,10 @@
     vCPU id, up to a bounded restart budget, after which the caller must
     take its lock-protected slow path (the transfer cache).
 
-    The caller supplies the section body as a staged operation: a pure
-    read/prepare phase producing a value plus a [commit] closure holding
-    every mutation.  {!Wsc_tcmalloc.Per_cpu_cache} exposes its fast-path
-    operations in exactly this shape. *)
+    The caller supplies the section body as two closures: a pure [prepare]
+    that records its decision in a buffer the caller owns, and a [commit]
+    that applies it.  {!Wsc_tcmalloc.Per_cpu_cache} stages every per-CPU
+    operation this way, in its op buffer. *)
 
 type config = {
   seed : int;  (** Root seed of the preemption stream. *)
@@ -53,18 +53,6 @@ val step_of_index : int -> step
 (** Inverse of position in {!all_steps}.  @raise Invalid_argument outside
     [0, n_steps). *)
 
-(** A staged operation: [value] is what the attempt will return, [commit]
-    performs every mutation.  The staging phase must be pure so that an
-    abort (never calling [commit]) leaves no trace. *)
-type 'a staged = { value : 'a; commit : unit -> unit }
-
-type 'a result = {
-  outcome : 'a option;
-      (** [Some v] when an attempt committed; [None] when the restart
-          budget ran out and the caller must take the slow path. *)
-  restarts : int;  (** Aborted attempts that were retried. *)
-}
-
 type t
 
 val create : ?index:int -> config -> t
@@ -75,22 +63,19 @@ val create : ?index:int -> config -> t
 
 val config : t -> config
 
-val run : t -> read_vcpu:(unit -> int) -> stage:(vcpu:int -> 'a staged) -> 'a result
-(** Execute one restartable operation.  Each attempt draws a preemption
-    decision at every step; surviving all four commits the staged
-    operation.  A preempted attempt aborts without mutating (neither
-    [read_vcpu] nor [stage] may mutate observable state) and restarts with
-    a freshly read vCPU id, at most [max_restarts] times. *)
-
 val run_op :
   t -> read_vcpu:(unit -> int) -> prepare:(int -> unit) -> commit:(unit -> unit) -> int
-(** Allocation-free twin of {!run} for per-event fast paths: [prepare vcpu]
-    stages into a reusable buffer owned by the caller and [commit] applies
-    it, so no staged record is built per attempt.  Preemption points and
-    RNG draw order are identical to {!run}.  Returns [restarts >= 0] when
-    the operation committed after that many restarts, or [-1 - restarts]
-    when the budget ran out and the caller must take its slow path.  All
-    three closures are expected to be preallocated by the caller. *)
+(** Execute one restartable operation.  Each attempt draws a preemption
+    decision at every step: [read_vcpu] runs after {!Read_vcpu},
+    [prepare vcpu] after {!Pick_class}, and surviving {!Prepare} and
+    {!Commit} runs [commit].  A preempted attempt aborts without mutating
+    (neither [read_vcpu] nor [prepare] may mutate observable state;
+    [prepare] writes only the caller's buffer, which the next attempt
+    overwrites) and restarts with a freshly read vCPU id, at most
+    [max_restarts] times.  Returns [restarts >= 0] when the operation
+    committed after that many restarts, or [-1 - restarts] when the budget
+    ran out and the caller must take its slow path.  The closures are
+    expected to be preallocated, so an operation allocates nothing. *)
 
 val note_migration : t -> unit
 (** Arm a one-shot forced preemption at {!Read_vcpu}: the scheduler moved

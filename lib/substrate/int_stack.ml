@@ -21,12 +21,6 @@ let pop t =
   t.data.(t.len)
 
 let pop_opt t = if t.len = 0 then None else Some (pop t)
-let peek_opt t = if t.len = 0 then None else Some t.data.(t.len - 1)
-
-let peek_up_to t n =
-  let k = min n t.len in
-  List.init k (fun i -> t.data.(t.len - 1 - i))
-
 let pop_into t buf ~pos ~n =
   let k = min n t.len in
   for i = 0 to k - 1 do
@@ -34,11 +28,6 @@ let pop_into t buf ~pos ~n =
     buf.(pos + i) <- t.data.(t.len)
   done;
   k
-
-let pop_up_to t n =
-  let k = min n t.len in
-  let rec take acc i = if i = k then List.rev acc else take (pop t :: acc) (i + 1) in
-  take [] 0
 
 let iter t f =
   for i = 0 to t.len - 1 do

@@ -15,20 +15,11 @@ val pop : t -> int
 (** @raise Invalid_argument when empty. *)
 
 val pop_opt : t -> int option
-val peek_opt : t -> int option
-
-val peek_up_to : t -> int -> int list
-(** [peek_up_to t n] is the list {!pop_up_to} would return (at most [n]
-    elements, most-recent first) without removing anything — the staging
-    half of a restartable flush. *)
-
-val pop_up_to : t -> int -> int list
-(** [pop_up_to t n] removes at most [n] elements, most-recent first. *)
 
 val pop_into : t -> int array -> pos:int -> n:int -> int
-(** [pop_into t buf ~pos ~n] is {!pop_up_to} without the list: at most [n]
-    elements move into [buf.(pos) ..], most-recent first, returning how
-    many.  The allocation-free batch-transfer primitive. *)
+(** [pop_into t buf ~pos ~n] removes at most [n] elements into
+    [buf.(pos) ..], most-recent first, returning how many.  The
+    allocation-free batch-transfer primitive. *)
 
 val iter : t -> (int -> unit) -> unit
 (** Bottom-to-top iteration. *)

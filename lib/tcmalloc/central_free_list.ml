@@ -103,44 +103,6 @@ let note_released t span ~now =
   | Some stats ->
     Span_stats.note_released stats ~span_id:span.Span.id ~cls:span.Span.size_class ~now
 
-let remove_objects t ~cls ~n ~now =
-  let cs = t.classes.(cls) in
-  let mmaps = ref 0 in
-  let out = ref [] in
-  let need = ref n in
-  (try
-     while !need > 0 do
-       let span =
-         match pick_span cs with
-         | Some span -> span
-         | None ->
-           let span, m = Pageheap.new_small_span t.pageheap ~size_class:cls ~now in
-           mmaps := !mmaps + m;
-           Hashtbl.replace cs.spans span.Span.id span;
-           cs.free_objects <- cs.free_objects + span.Span.capacity;
-           note_created t span ~now;
-           Span.set_list_index span (-1);
-           span
-       in
-       let take = min !need (Span.free_objects span) in
-       let addrs = Span.pop_objects span ~n:take in
-       cs.free_objects <- cs.free_objects - take;
-       need := !need - take;
-       out := List.rev_append addrs !out;
-       (* The span left its list when popped (or was never listed if fresh);
-          always re-push if it still has capacity. *)
-       relist t cs span ~force:(Span.free_objects span > 0)
-     done
-   with Wsc_os.Vm.Mmap_failed _ ->
-     (* Graceful degradation under memory pressure: hand back whatever was
-        gathered before the failed span grow.  An empty result tells the
-        caller the allocation itself must reclaim and retry. *)
-     ());
-  (!out, !mmaps)
-
-(* Allocation-free twin of [remove_objects]: objects land in [buf.(pos)..]
-   in chronological pop order (note [remove_objects] returns them
-   REVERSED — callers of each take the order that function documents). *)
 let remove_objects_into t ~cls ~n ~now ~buf ~pos ~mmaps =
   let cs = t.classes.(cls) in
   let need = ref n in

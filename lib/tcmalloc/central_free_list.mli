@@ -24,21 +24,15 @@ val create : ?config:Config.t -> ?span_stats:Span_stats.t -> Pageheap.t -> t
     When [span_stats] is supplied, span creation/release events and
     {!snapshot} observations feed it. *)
 
-val remove_objects : t -> cls:int -> n:int -> now:float -> addr list * int
-(** Extract [n] objects of the class, pulling fresh spans from the pageheap
-    as needed.  Returns the object addresses and the number of mmap calls
-    incurred below.  When a span grow fails with {!Wsc_os.Vm.Mmap_failed}
-    (memory pressure or an injected fault), the failure is absorbed and
-    whatever was gathered so far is returned — possibly the empty list,
-    which callers must treat as "reclaim and retry". *)
-
 val remove_objects_into :
   t -> cls:int -> n:int -> now:float -> buf:addr array -> pos:int -> mmaps:int ref -> int
-(** Allocation-free twin of {!remove_objects} for the cache-miss batch
-    path: up to [n] objects land in [buf.(pos) ..] in chronological pop
-    order (the list form returns them reversed), mmap calls accumulate
-    into [mmaps], and the count gathered is returned ([0] under an
-    absorbed {!Wsc_os.Vm.Mmap_failed} means "reclaim and retry"). *)
+(** Extract up to [n] objects of the class into [buf.(pos) ..], in the
+    order they are popped from their spans, pulling fresh spans from the
+    pageheap as needed; mmap calls incurred below accumulate into [mmaps]
+    and the count gathered is returned.  When a span grow fails with
+    {!Wsc_os.Vm.Mmap_failed} (memory pressure or an injected fault), the
+    failure is absorbed and whatever was gathered so far counts — possibly
+    [0], which callers must treat as "reclaim and retry". *)
 
 val return_objects : t -> cls:int -> addrs:addr list -> now:float -> unit
 (** Give objects back to their spans; spans whose last object returns are

@@ -7,22 +7,24 @@ module Rseq = Wsc_os.Rseq
 
 type addr = int
 
-(* Preallocated closures plus parameter slots for the allocation-free
-   restartable fast paths ({!Wsc_os.Rseq.run_op}): per-event parameters are
-   written into the mutable slots instead of being captured, so the hot
-   alloc/free paths build no closure, option, or staged record per
-   operation. *)
+(* Preallocated closures plus parameter slots for the per-CPU steps run
+   under {!Wsc_os.Rseq.run_op}: per-operation parameters are written into
+   the mutable slots instead of being captured, so neither the per-event
+   fast path nor a cache miss builds a closure, option or record. *)
 type fast_ops = {
   mutable fo_thread : int;  (* cache-index thread id; -1 = none *)
   mutable fo_cpu : int;
   mutable fo_cls : int;
   mutable fo_addr : int;  (* dealloc: the object being freed *)
-  mutable fo_res_addr : int;  (* prepare_alloc result (-1 = staged miss) *)
+  mutable fo_n : int;  (* fill: end of the batch in [batch_buf]; flush: batch size *)
+  mutable fo_res : int;  (* prepare_alloc address (-1 = staged miss), or batch count *)
   mutable fo_res_ok : bool;  (* prepare_dealloc result *)
   mutable fo_observed : int;  (* vCPU the last attempt read; -1 = none *)
   mutable fo_read_vcpu : unit -> int;
   mutable fo_prep_alloc : int -> unit;
   mutable fo_prep_dealloc : int -> unit;
+  mutable fo_prep_fill : int -> unit;
+  mutable fo_prep_flush : int -> unit;
   mutable fo_commit : unit -> unit;
 }
 
@@ -46,10 +48,9 @@ type t = {
      stranded-cache reclaim pass (cleared on reuse or drain). *)
   stranded_pending : (int, unit) Hashtbl.t;
   fast : fast_ops;
-  (* Scratch for the cache-miss batch paths (refill and batch flush): the
-     non-rseq slow paths move whole batches through this preallocated
-     buffer instead of building a list per miss.  Sized for the largest
-     per-class batch. *)
+  (* Scratch for the cache-miss batch paths (refill and batch flush) and
+     the rseq free fallback: whole batches move through this preallocated
+     buffer.  Sized for the largest per-class batch. *)
   batch_buf : int array;
   tc_stats : Transfer_cache.remove_stats;
 }
@@ -63,9 +64,9 @@ let max_batch =
   done;
   !m
 
-let evict_to_transfer t ~now ~vcpu ~cls ~addrs =
+let evict_to_transfer t ~now ~vcpu ~cls ~buf ~n =
   let domain = if vcpu < Array.length t.vcpu_domain then t.vcpu_domain.(vcpu) else 0 in
-  ignore (Transfer_cache.insert t.tc ~cls ~addrs ~domain ~now)
+  ignore (Transfer_cache.insert_from t.tc ~cls ~domain ~now ~buf ~lo:0 ~hi:n)
 
 type reclaim_outcome = {
   front_end_bytes : int;
@@ -161,12 +162,15 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
           fo_cpu = 0;
           fo_cls = 0;
           fo_addr = 0;
-          fo_res_addr = -1;
+          fo_n = 0;
+          fo_res = -1;
           fo_res_ok = false;
           fo_observed = -1;
           fo_read_vcpu = (fun () -> 0);
           fo_prep_alloc = ignore;
           fo_prep_dealloc = ignore;
+          fo_prep_fill = ignore;
+          fo_prep_flush = ignore;
           fo_commit = (fun () -> ());
         };
     }
@@ -181,10 +185,20 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
       fo.fo_observed <- vcpu;
       vcpu);
   fo.fo_prep_alloc <-
-    (fun vcpu -> fo.fo_res_addr <- Per_cpu_cache.prepare_alloc t.pcc ~vcpu ~cls:fo.fo_cls);
+    (fun vcpu -> fo.fo_res <- Per_cpu_cache.prepare_alloc t.pcc ~vcpu ~cls:fo.fo_cls);
   fo.fo_prep_dealloc <-
     (fun vcpu ->
       fo.fo_res_ok <- Per_cpu_cache.prepare_dealloc t.pcc ~vcpu ~cls:fo.fo_cls fo.fo_addr);
+  fo.fo_prep_fill <-
+    (fun vcpu ->
+      fo.fo_res <-
+        Per_cpu_cache.prepare_fill t.pcc ~vcpu ~cls:fo.fo_cls ~buf:t.batch_buf ~lo:1
+          ~hi:fo.fo_n);
+  fo.fo_prep_flush <-
+    (fun vcpu ->
+      fo.fo_res <-
+        Per_cpu_cache.prepare_flush t.pcc ~vcpu ~cls:fo.fo_cls ~n:fo.fo_n ~buf:t.batch_buf
+          ~pos:1);
   fo.fo_commit <- (fun () -> Per_cpu_cache.commit_staged t.pcc);
   if config.Config.dynamic_per_cpu_caches then begin
     let resize now = Per_cpu_cache.resize t.pcc ~evict:(evict_to_transfer t ~now) in
@@ -260,36 +274,9 @@ let malloc_large t ~size =
   maybe_sample t a ~size;
   a
 
-(* Refill the per-CPU cache from the transfer cache, recording where the
-   batch actually came from and the locality of reused objects. *)
-let refill t ~cls ~domain ~now =
-  let batch = Size_class.batch cls in
-  let result = Transfer_cache.remove t.tc ~cls ~n:batch ~domain ~now in
-  charge t Cost_model.Transfer_cache;
-  for _ = 1 to result.Transfer_cache.local_reuse do
-    Telemetry.record_object_reuse t.telemetry ~remote:false
-  done;
-  for _ = 1 to result.Transfer_cache.remote_reuse do
-    Telemetry.record_object_reuse t.telemetry ~remote:true
-  done;
-  let deepest =
-    if result.Transfer_cache.mmaps > 0 then begin
-      Telemetry.charge_tier t.telemetry Cost_model.Mmap
-        (float_of_int result.Transfer_cache.mmaps *. Cost_model.mmap_ns);
-      charge t Cost_model.Central_free_list;
-      Cost_model.Mmap
-    end
-    else if result.Transfer_cache.from_cfl > 0 then begin
-      charge t Cost_model.Central_free_list;
-      Cost_model.Central_free_list
-    end
-    else Cost_model.Transfer_cache
-  in
-  (result.Transfer_cache.addrs, deepest)
-
-(* [refill] through the preallocated scratch buffer: the batch lands in
-   [t.batch_buf.(0) .. t.tc_stats.rs_count) and the same telemetry is
-   charged in the same order, with no per-miss list or record. *)
+(* Refill from the transfer cache through the preallocated scratch buffer,
+   recording where the batch actually came from and the locality of reused
+   objects: the batch lands in [t.batch_buf.(0) .. t.tc_stats.rs_count). *)
 let refill_into t ~cls ~domain ~now =
   let batch = Size_class.batch cls in
   let stats = t.tc_stats in
@@ -313,92 +300,59 @@ let refill_into t ~cls ~domain ~now =
   end
   else Cost_model.Transfer_cache
 
-(* Run one fast-path operation under the restartable-sequence protocol:
-   every attempt re-reads the vCPU id (a migration between attempts lands
-   the restart on a different cache), each restart re-runs the 3.1 ns fast
-   path (the Fig. 4 restart overhead), and exhausting the restart budget
-   surfaces [None] so the caller takes its slow path.  Returns the vCPU id
-   the last attempt observed (read once explicitly if every attempt aborted
-   before reading it). *)
-let run_rseq t r ~thread ~cpu ~stage =
-  let observed = ref (-1) in
-  let read_vcpu () =
-    let vcpu = cache_index_id t ~thread ~cpu in
-    remember_domain t ~vcpu ~cpu;
-    observed := vcpu;
-    vcpu
-  in
-  let result = Rseq.run r ~read_vcpu ~stage in
-  Telemetry.record_rseq_op t.telemetry ~restarts:result.Rseq.restarts
-    ~fell_back:(Option.is_none result.Rseq.outcome);
-  if result.Rseq.restarts > 0 then
-    Telemetry.charge_tier t.telemetry Cost_model.Per_cpu_cache
-      (float_of_int result.Rseq.restarts
-      *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache);
-  if !observed < 0 then ignore (read_vcpu ());
-  (result.Rseq.outcome, !observed)
-
-(* Bookkeeping tail of a {!Rseq.run_op} fast path: same telemetry as
-   [run_rseq] (per-op record, per-restart fast-path charge, guaranteed
-   vCPU observation).  Returns [true] when the restart budget ran out. *)
-let finish_rseq_op t ~ret =
+(* Run one per-CPU step under the restartable-sequence protocol: [prepare]
+   is one of the preallocated [t.fast] closures, whose parameters the
+   caller wrote into [t.fast].  Every attempt re-reads the vCPU id (a
+   migration between attempts lands the restart on a different cache) and
+   each restart re-runs the 3.1 ns fast path (the Fig. 4 restart
+   overhead).  The vCPU is read once explicitly if every attempt aborted
+   before reading it.  Returns [true] when the restart budget ran out and
+   the caller must take its slow path. *)
+let run_per_cpu t r ~prepare =
+  let fo = t.fast in
+  fo.fo_observed <- -1;
+  let ret = Rseq.run_op r ~read_vcpu:fo.fo_read_vcpu ~prepare ~commit:fo.fo_commit in
   let restarts, fell_back = if ret >= 0 then (ret, false) else (-1 - ret, true) in
   Telemetry.record_rseq_op t.telemetry ~restarts ~fell_back;
   if restarts > 0 then
     Telemetry.charge_tier t.telemetry Cost_model.Per_cpu_cache
       (float_of_int restarts *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache);
-  if t.fast.fo_observed < 0 then ignore (t.fast.fo_read_vcpu ());
+  if fo.fo_observed < 0 then ignore (fo.fo_read_vcpu ());
   fell_back
 
-(* Front-end allocation miss: pull a batch from the transfer cache, keep the
-   first object, and offer the rest to the per-CPU cache (under rseq when the
-   injector is on; a refill whose restart budget runs out caches nothing and
-   the whole batch returns to the transfer cache). *)
-let alloc_miss t ~thread ~cpu ~vcpu ~cls =
+(* Front-end allocation miss: pull a batch from the transfer cache into the
+   scratch buffer, keep the first object and offer the rest to the per-CPU
+   cache.  The cache's rejected suffix returns to the transfer cache
+   reversed.  Under rseq the fill is restartable; a fill whose restart
+   budget runs out caches nothing, and the whole rest of the batch returns
+   in order. *)
+let alloc_miss t ~cpu ~vcpu ~cls =
   let now = Clock.now t.clock in
   Telemetry.record_front_end_miss t.telemetry ~vcpu;
   Telemetry.charge_other t.telemetry 0.4;
   let domain = Topology.domain_of_cpu t.topology cpu in
-  match t.rseq with
-  | None ->
-    (* Allocation-free slow path: the whole batch moves through the scratch
-       buffer — transfer-cache pull, per-CPU fill, rejected-suffix
-       reinsertion — with no list cells per miss. *)
-    let deepest = refill_into t ~cls ~domain ~now in
-    Telemetry.record_hit t.telemetry deepest;
-    let count = t.tc_stats.Transfer_cache.rs_count in
-    if count = 0 then
-      (* The central free list absorbed an mmap failure and returned
-         nothing; surface it so the retry-with-reclaim loop engages. *)
-      raise (Vm.Mmap_failed Vm.Transient_fault);
-    let buf = t.batch_buf in
-    let first = buf.(0) in
-    let accepted = Per_cpu_cache.fill_from t.pcc ~vcpu ~cls ~buf ~lo:1 ~hi:count in
-    if 1 + accepted < count then
-      ignore
-        (Transfer_cache.insert_rev_from t.tc ~cls ~domain ~now ~buf ~lo:(1 + accepted)
-           ~hi:count);
-    first
-  | Some r -> (
-    let addrs, deepest = refill t ~cls ~domain ~now in
-    Telemetry.record_hit t.telemetry deepest;
-    match addrs with
-    | [] ->
-      (* The central free list absorbed an mmap failure and returned
-         nothing; surface it so the retry-with-reclaim loop engages. *)
-      raise (Vm.Mmap_failed Vm.Transient_fault)
-    | first :: rest ->
-      let rejected =
-        match
-          run_rseq t r ~thread ~cpu
-            ~stage:(fun ~vcpu -> Per_cpu_cache.stage_fill t.pcc ~vcpu ~cls ~addrs:rest)
-        with
-        | Some rejected, _ -> rejected
-        | None, _ -> rest
-      in
-      if rejected <> [] then
-        ignore (Transfer_cache.insert t.tc ~cls ~addrs:rejected ~domain ~now);
-      first)
+  let deepest = refill_into t ~cls ~domain ~now in
+  Telemetry.record_hit t.telemetry deepest;
+  let count = t.tc_stats.Transfer_cache.rs_count in
+  if count = 0 then
+    (* The central free list absorbed an mmap failure and returned
+       nothing; surface it so the retry-with-reclaim loop engages. *)
+    raise (Vm.Mmap_failed Vm.Transient_fault);
+  let buf = t.batch_buf in
+  let accepted =
+    match t.rseq with
+    | None -> Per_cpu_cache.fill_from t.pcc ~vcpu ~cls ~buf ~lo:1 ~hi:count
+    | Some r ->
+      t.fast.fo_n <- count;
+      if run_per_cpu t r ~prepare:t.fast.fo_prep_fill then -1 else t.fast.fo_res
+  in
+  if accepted < 0 then
+    ignore (Transfer_cache.insert_from t.tc ~cls ~domain ~now ~buf ~lo:1 ~hi:count)
+  else if 1 + accepted < count then
+    ignore
+      (Transfer_cache.insert_rev_from t.tc ~cls ~domain ~now ~buf ~lo:(1 + accepted)
+         ~hi:count);
+  buf.(0)
 
 (* The cached small object malloc returns goes to the application: its
    span slot turns from cached to held. *)
@@ -427,26 +381,21 @@ let malloc_attempt t ~thread ~cpu ~size =
           Telemetry.record_hit t.telemetry Cost_model.Per_cpu_cache;
           a
         end
-        else alloc_miss t ~thread ~cpu ~vcpu ~cls
+        else alloc_miss t ~cpu ~vcpu ~cls
       | Some r ->
         let fo = t.fast in
         fo.fo_thread <- thread;
         fo.fo_cpu <- cpu;
         fo.fo_cls <- cls;
-        fo.fo_observed <- -1;
-        let ret =
-          Rseq.run_op r ~read_vcpu:fo.fo_read_vcpu ~prepare:fo.fo_prep_alloc
-            ~commit:fo.fo_commit
-        in
-        let fell_back = finish_rseq_op t ~ret in
-        if (not fell_back) && fo.fo_res_addr >= 0 then begin
+        let fell_back = run_per_cpu t r ~prepare:fo.fo_prep_alloc in
+        if (not fell_back) && fo.fo_res >= 0 then begin
           Telemetry.record_hit t.telemetry Cost_model.Per_cpu_cache;
-          fo.fo_res_addr
+          fo.fo_res
         end
         else
           (* Committed miss, or restart budget exhausted: either way the
              front end yielded nothing — take the refill slow path. *)
-          alloc_miss t ~thread ~cpu ~vcpu:fo.fo_observed ~cls
+          alloc_miss t ~cpu ~vcpu:fo.fo_observed ~cls
     in
     hand_out t a;
     Telemetry.record_alloc t.telemetry ~requested:size ~rounded:(Size_class.size cls);
@@ -530,38 +479,35 @@ let accept_small_free t a ~size ~cls =
     | Span.Cached -> free_error ~what:"double free" ~a ~size ~tier:"front-end"
     | Span.Free -> free_error ~what:"double free" ~a ~size ~tier:"central-free-list"
 
-(* Deallocation miss: flush a batch (including this object) to the transfer
-   cache.  Under rseq the flush is itself restartable; a flush whose budget
-   runs out sends only the freed object. *)
-let dealloc_miss t ~thread ~cpu ~vcpu ~cls a =
+(* Send [t.batch_buf.(0) .. t.batch_buf.(hi-1)] to the transfer cache,
+   charging the central free list when some of it overflows there. *)
+let send_to_transfer t ~cls ~domain ~now ~hi =
+  charge t Cost_model.Transfer_cache;
+  let overflow =
+    Transfer_cache.insert_from t.tc ~cls ~domain ~now ~buf:t.batch_buf ~lo:0 ~hi
+  in
+  if overflow > 0 then charge t Cost_model.Central_free_list
+
+(* Deallocation miss: flush a batch to the transfer cache, the freed object
+   first and then the flushed objects, most recent first.  Under rseq the
+   flush is restartable; a flush whose restart budget runs out sends only
+   the freed object. *)
+let dealloc_miss t ~cpu ~vcpu ~cls a =
   let now = Clock.now t.clock in
   Telemetry.record_front_end_miss t.telemetry ~vcpu;
   Telemetry.charge_other t.telemetry 0.4;
   let domain = Topology.domain_of_cpu t.topology cpu in
-  let batch = Size_class.batch cls in
-  match t.rseq with
-  | None ->
-    (* Allocation-free slow path: the freed object plus the flushed batch
-       travel through the scratch buffer, in [insert]'s [a :: flushed]
-       order. *)
-    let buf = t.batch_buf in
-    buf.(0) <- a;
-    let m = Per_cpu_cache.flush_batch_into t.pcc ~vcpu ~cls ~n:(batch - 1) ~buf ~pos:1 in
-    charge t Cost_model.Transfer_cache;
-    let overflow = Transfer_cache.insert_from t.tc ~cls ~domain ~now ~buf ~lo:0 ~hi:(1 + m) in
-    if overflow > 0 then charge t Cost_model.Central_free_list
-  | Some r ->
-    let flushed =
-      match
-        run_rseq t r ~thread ~cpu
-          ~stage:(fun ~vcpu -> Per_cpu_cache.stage_flush_batch t.pcc ~vcpu ~cls ~n:(batch - 1))
-      with
-      | Some flushed, _ -> flushed
-      | None, _ -> []
-    in
-    charge t Cost_model.Transfer_cache;
-    let overflow = Transfer_cache.insert t.tc ~cls ~addrs:(a :: flushed) ~domain ~now in
-    if overflow > 0 then charge t Cost_model.Central_free_list
+  let n = Size_class.batch cls - 1 in
+  let buf = t.batch_buf in
+  buf.(0) <- a;
+  let flushed =
+    match t.rseq with
+    | None -> Per_cpu_cache.flush_batch_into t.pcc ~vcpu ~cls ~n ~buf ~pos:1
+    | Some r ->
+      t.fast.fo_n <- n;
+      if run_per_cpu t r ~prepare:t.fast.fo_prep_flush then 0 else t.fast.fo_res
+  in
+  send_to_transfer t ~cls ~domain ~now ~hi:(1 + flushed)
 
 let free_th t ~thread ~cpu a ~size =
   if size <= 0 then invalid_arg "Malloc.free: size must be positive";
@@ -577,32 +523,23 @@ let free_th t ~thread ~cpu a ~size =
       let vcpu = cache_index_id t ~thread ~cpu in
       remember_domain t ~vcpu ~cpu;
       if not (Per_cpu_cache.dealloc t.pcc ~vcpu ~cls a) then
-        dealloc_miss t ~thread ~cpu ~vcpu ~cls a
+        dealloc_miss t ~cpu ~vcpu ~cls a
     | Some r ->
       let fo = t.fast in
       fo.fo_thread <- thread;
       fo.fo_cpu <- cpu;
       fo.fo_cls <- cls;
       fo.fo_addr <- a;
-      fo.fo_observed <- -1;
-      let ret =
-        Rseq.run_op r ~read_vcpu:fo.fo_read_vcpu ~prepare:fo.fo_prep_dealloc
-          ~commit:fo.fo_commit
-      in
-      let fell_back = finish_rseq_op t ~ret in
-      if fell_back then begin
+      if run_per_cpu t r ~prepare:fo.fo_prep_dealloc then begin
         (* Restart budget exhausted before the cache accepted the object:
            bypass the front end and hand it straight to the transfer cache
            (the real allocator's slow path), without charging a front-end
            miss to the vCPU. *)
-        let domain = Topology.domain_of_cpu t.topology cpu in
-        charge t Cost_model.Transfer_cache;
-        let overflow =
-          Transfer_cache.insert t.tc ~cls ~addrs:[ a ] ~domain ~now:(Clock.now t.clock)
-        in
-        if overflow > 0 then charge t Cost_model.Central_free_list
+        t.batch_buf.(0) <- a;
+        send_to_transfer t ~cls ~domain:(Topology.domain_of_cpu t.topology cpu)
+          ~now:(Clock.now t.clock) ~hi:1
       end
-      else if not fo.fo_res_ok then dealloc_miss t ~thread ~cpu ~vcpu:fo.fo_observed ~cls a
+      else if not fo.fo_res_ok then dealloc_miss t ~cpu ~vcpu:fo.fo_observed ~cls a
   end
 
 let free ?thread t ~cpu a ~size =

@@ -26,11 +26,13 @@ val create :
     [span_snapshot_interval_ns] is given, central-free-list span occupancy
     is observed periodically into {!span_stats} (Figs. 13/16).
 
-    When [rseq] is given, every per-CPU fast-path operation runs under the
+    When [rseq] is given, every per-CPU step — the per-event pop or push,
+    and a cache miss's batch fill or flush — runs under the
     restartable-sequence protocol: the injector may preempt it at any of
     the four steps, forcing abort-and-restart on a freshly read vCPU id up
     to {!Config.t.rseq_max_restarts} times, after which the operation
-    bypasses the front end to the transfer cache.  Restart counts, restart
+    bypasses the front end to the transfer cache.  The batch moves to and
+    from the transfer cache are the same with or without it.  Restart counts, restart
     CPU overhead (one extra fast-path hit per restart, Fig. 4), and
     fallbacks are recorded in {!Telemetry}.  Without it the fast path
     commits atomically (identical to the pre-rseq model). *)

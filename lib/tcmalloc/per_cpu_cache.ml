@@ -1,5 +1,4 @@
 open Wsc_substrate
-module Rseq = Wsc_os.Rseq
 
 type addr = int
 
@@ -12,23 +11,35 @@ type cpu_cache = {
   mutable total_misses : int;
 }
 
-(* Reusable staged-op buffer for the restartable fast paths: [prepare_*]
+(* The op buffer behind every restartable per-CPU operation: [prepare_*]
    records the decision here (no mutation, no allocation) and
    [commit_staged] applies it.  A preempted attempt simply overwrites the
    buffer on restart, so a torn operation cannot lose or duplicate an
-   object — same contract as the closure-based [stage_*] API, minus the
-   per-attempt record and closure. *)
-type op_kind = Op_none | Op_alloc_hit | Op_alloc_miss | Op_dealloc_ok | Op_dealloc_miss
+   object.  A batch op also records the caller's buffer and the range it
+   moves. *)
+type op_kind =
+  | Op_none
+  | Op_alloc_hit
+  | Op_alloc_miss
+  | Op_dealloc_ok
+  | Op_dealloc_miss
+  | Op_fill
+  | Op_flush
 
 type t = {
   config : Config.t;
   mutable caches : cpu_cache option array;
-  mutable populated : int;
   mutable next_victim : int;  (* round-robin rotation for capacity stealing *)
+  mutable evict_buf : addr array;
+      (* one stack's evicted objects, handed to [evict]; allocated at the
+         first eviction *)
   mutable op_kind : op_kind;
   mutable op_cache : cpu_cache;  (* cache the staged op applies to *)
   mutable op_cls : int;
   mutable op_addr : int;
+  mutable op_buf : addr array;  (* batch ops: the caller's buffer ... *)
+  mutable op_pos : int;  (* ... the first slot they read or write ... *)
+  mutable op_count : int;  (* ... and how many objects they move *)
 }
 
 let min_capacity_bytes = 128 * 1024
@@ -54,12 +65,15 @@ let create ?(config = Config.baseline) () =
   {
     config;
     caches = Array.make 8 None;
-    populated = 0;
     next_victim = 0;
+    evict_buf = [||];
     op_kind = Op_none;
     op_cache = dummy_cache ();
     op_cls = 0;
     op_addr = 0;
+    op_buf = [||];
+    op_pos = 0;
+    op_count = 0;
   }
 
 let cache_of t vcpu =
@@ -83,37 +97,27 @@ let cache_of t vcpu =
       }
     in
     t.caches.(vcpu) <- Some c;
-    t.populated <- t.populated + 1;
     c
 
 let miss c =
   c.interval_misses <- c.interval_misses + 1;
   c.total_misses <- c.total_misses + 1
 
-(* Every fast-path operation is expressed as a restartable sequence
-   (Wsc_os.Rseq): the staging phase only reads the cache and records the
-   decision; all mutation happens in a single commit.  An attempt that the
-   preemption injector aborts simply never commits, so a torn operation
-   cannot lose or duplicate an object.
+(* Every per-CPU operation is a restartable sequence (Wsc_os.Rseq): the
+   [prepare_*] half only reads the cache and records the decision in the op
+   buffer; [commit_staged] applies it.  An attempt the preemption injector
+   aborts never commits, so a torn operation cannot lose or duplicate an
+   object.  The batch ops with rseq off are prepare-then-commit in one call;
+   only the per-event [alloc]/[dealloc] fuse the two halves, because they
+   are the hottest path. *)
 
-   The per-event paths come in two shapes: [prepare_alloc]/[prepare_dealloc]
-   stage into the reusable op buffer and [commit_staged] applies it
-   (allocation-free, used under a live injector via {!Wsc_os.Rseq.run_op}),
-   while the plain [alloc]/[dealloc] below fuse stage and commit into one
-   direct, allocation-free step (the no-preemption fast path).  The
-   closure-based [stage_*] forms remain for the batch ops (flush/fill,
-   which traffic in lists anyway) and for tests that need a first-class
-   staged value. *)
-
-let commit_alloc_hit c ~cls =
-  ignore (Int_stack.pop c.stacks.(cls));
-  c.used_bytes <- c.used_bytes - Size_class.size cls;
+let[@inline] lower_watermark c ~cls =
   let len = Int_stack.length c.stacks.(cls) in
   if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len
 
-let commit_dealloc_ok c ~cls a =
-  Int_stack.push c.stacks.(cls) a;
-  c.used_bytes <- c.used_bytes + Size_class.size cls
+let[@inline] has_room t c ~cls =
+  c.used_bytes + Size_class.size cls <= c.capacity_bytes
+  && Int_stack.length c.stacks.(cls) < class_cap t.config cls
 
 let prepare_alloc t ~vcpu ~cls =
   let c = cache_of t vcpu in
@@ -136,10 +140,7 @@ let prepare_dealloc t ~vcpu ~cls a =
   t.op_cache <- c;
   t.op_cls <- cls;
   t.op_addr <- a;
-  if
-    c.used_bytes + Size_class.size cls <= c.capacity_bytes
-    && Int_stack.length c.stacks.(cls) < class_cap t.config cls
-  then begin
+  if has_room t c ~cls then begin
     t.op_kind <- Op_dealloc_ok;
     true
   end
@@ -148,70 +149,62 @@ let prepare_dealloc t ~vcpu ~cls a =
     false
   end
 
+let stage_batch t c ~kind ~cls ~buf ~pos ~count =
+  t.op_kind <- kind;
+  t.op_cache <- c;
+  t.op_cls <- cls;
+  t.op_buf <- buf;
+  t.op_pos <- pos;
+  t.op_count <- count;
+  count
+
+(* Acceptance is a prefix bounded by both the byte budget and the
+   per-class object cap: once one object is refused, so is every later
+   one. *)
+let prepare_fill t ~vcpu ~cls ~buf ~lo ~hi =
+  let c = cache_of t vcpu in
+  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / Size_class.size cls) in
+  let room_objects = max 0 (class_cap t.config cls - Int_stack.length c.stacks.(cls)) in
+  stage_batch t c ~kind:Op_fill ~cls ~buf ~pos:lo
+    ~count:(min (min room_bytes room_objects) (hi - lo))
+
+let prepare_flush t ~vcpu ~cls ~n ~buf ~pos =
+  let c = cache_of t vcpu in
+  stage_batch t c ~kind:Op_flush ~cls ~buf ~pos
+    ~count:(min n (Int_stack.length c.stacks.(cls)))
+
 let commit_staged t =
-  let c = t.op_cache in
+  let c = t.op_cache and cls = t.op_cls in
   (match t.op_kind with
   | Op_none -> ()
-  | Op_alloc_hit -> commit_alloc_hit c ~cls:t.op_cls
-  | Op_alloc_miss -> miss c
-  | Op_dealloc_ok -> commit_dealloc_ok c ~cls:t.op_cls t.op_addr
-  | Op_dealloc_miss -> miss c);
+  | Op_alloc_hit ->
+    ignore (Int_stack.pop c.stacks.(cls));
+    c.used_bytes <- c.used_bytes - Size_class.size cls;
+    lower_watermark c ~cls
+  | Op_alloc_miss | Op_dealloc_miss -> miss c
+  | Op_dealloc_ok ->
+    Int_stack.push c.stacks.(cls) t.op_addr;
+    c.used_bytes <- c.used_bytes + Size_class.size cls
+  | Op_fill ->
+    for i = t.op_pos to t.op_pos + t.op_count - 1 do
+      Int_stack.push c.stacks.(cls) t.op_buf.(i)
+    done;
+    c.used_bytes <- c.used_bytes + (t.op_count * Size_class.size cls)
+  | Op_flush ->
+    ignore (Int_stack.pop_into c.stacks.(cls) t.op_buf ~pos:t.op_pos ~n:t.op_count);
+    c.used_bytes <- c.used_bytes - (t.op_count * Size_class.size cls);
+    lower_watermark c ~cls);
   t.op_kind <- Op_none
 
-let stage_alloc t ~vcpu ~cls =
-  let c = cache_of t vcpu in
-  match Int_stack.peek_opt c.stacks.(cls) with
-  | Some a -> { Rseq.value = Some a; commit = (fun () -> commit_alloc_hit c ~cls) }
-  | None -> { Rseq.value = None; commit = (fun () -> miss c) }
+let fill_from t ~vcpu ~cls ~buf ~lo ~hi =
+  let k = prepare_fill t ~vcpu ~cls ~buf ~lo ~hi in
+  commit_staged t;
+  k
 
-let stage_dealloc t ~vcpu ~cls a =
-  let c = cache_of t vcpu in
-  if
-    c.used_bytes + Size_class.size cls <= c.capacity_bytes
-    && Int_stack.length c.stacks.(cls) < class_cap t.config cls
-  then { Rseq.value = true; commit = (fun () -> commit_dealloc_ok c ~cls a) }
-  else { Rseq.value = false; commit = (fun () -> miss c) }
-
-let stage_flush_batch t ~vcpu ~cls ~n =
-  let c = cache_of t vcpu in
-  let addrs = Int_stack.peek_up_to c.stacks.(cls) n in
-  {
-    Rseq.value = addrs;
-    commit =
-      (fun () ->
-        ignore (Int_stack.pop_up_to c.stacks.(cls) (List.length addrs));
-        c.used_bytes <- c.used_bytes - (List.length addrs * Size_class.size cls);
-        let len = Int_stack.length c.stacks.(cls) in
-        if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len);
-  }
-
-let stage_fill t ~vcpu ~cls ~addrs =
-  let c = cache_of t vcpu in
-  let size = Size_class.size cls in
-  let cap = class_cap t.config cls in
-  (* The first rejection leaves the cache untouched, so every later address
-     is rejected too: acceptance is a prefix bounded by both the byte
-     budget and the per-class object cap. *)
-  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / size) in
-  let room_objects = max 0 (cap - Int_stack.length c.stacks.(cls)) in
-  let k = min room_bytes room_objects in
-  let rec split i acc rest =
-    match rest with
-    | _ when i = k -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | a :: tail -> split (i + 1) (a :: acc) tail
-  in
-  let accepted, rest = split 0 [] addrs in
-  {
-    Rseq.value = List.rev rest;  (* rejected, in [fill]'s historical order *)
-    commit =
-      (fun () ->
-        List.iter
-          (fun a ->
-            Int_stack.push c.stacks.(cls) a;
-            c.used_bytes <- c.used_bytes + size)
-          accepted);
-  }
+let flush_batch_into t ~vcpu ~cls ~n ~buf ~pos =
+  let m = prepare_flush t ~vcpu ~cls ~n ~buf ~pos in
+  commit_staged t;
+  m
 
 (* Direct fast paths: stage-and-commit fused, zero allocation per call.
    [alloc] returns the address or [-1] on a front-end miss. *)
@@ -226,17 +219,13 @@ let alloc t ~vcpu ~cls =
   else begin
     let a = Int_stack.pop s in
     c.used_bytes <- c.used_bytes - Size_class.size cls;
-    let len = Int_stack.length s in
-    if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len;
+    lower_watermark c ~cls;
     a
   end
 
 let dealloc t ~vcpu ~cls a =
   let c = cache_of t vcpu in
-  if
-    c.used_bytes + Size_class.size cls <= c.capacity_bytes
-    && Int_stack.length c.stacks.(cls) < class_cap t.config cls
-  then begin
+  if has_room t c ~cls then begin
     Int_stack.push c.stacks.(cls) a;
     c.used_bytes <- c.used_bytes + Size_class.size cls;
     true
@@ -246,54 +235,31 @@ let dealloc t ~vcpu ~cls a =
     false
   end
 
-let flush_batch t ~vcpu ~cls ~n =
-  let s = stage_flush_batch t ~vcpu ~cls ~n in
-  s.Rseq.commit ();
-  s.Rseq.value
+type evict = vcpu:int -> cls:int -> buf:addr array -> n:int -> unit
 
-let fill t ~vcpu ~cls ~addrs =
-  let s = stage_fill t ~vcpu ~cls ~addrs in
-  s.Rseq.commit ();
-  s.Rseq.value
-
-(* Buffer twins of [flush_batch]/[fill] — same pop order, byte accounting,
-   and watermark updates, with no list cells or staged records. *)
-let flush_batch_into t ~vcpu ~cls ~n ~buf ~pos =
-  let c = cache_of t vcpu in
-  let m = Int_stack.pop_into c.stacks.(cls) buf ~pos ~n in
-  c.used_bytes <- c.used_bytes - (m * Size_class.size cls);
-  let len = Int_stack.length c.stacks.(cls) in
-  if len < c.low_watermark.(cls) then c.low_watermark.(cls) <- len;
-  m
-
-let fill_from t ~vcpu ~cls ~buf ~lo ~hi =
-  let c = cache_of t vcpu in
-  let size = Size_class.size cls in
-  let cap = class_cap t.config cls in
-  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / size) in
-  let room_objects = max 0 (cap - Int_stack.length c.stacks.(cls)) in
-  let k = min (min room_bytes room_objects) (hi - lo) in
-  for i = lo to lo + k - 1 do
-    Int_stack.push c.stacks.(cls) buf.(i);
-    c.used_bytes <- c.used_bytes + size
-  done;
-  k
+(* Pop up to [n] objects of one stack into the eviction buffer, most recent
+   first, and hand them to [evict]; returns the bytes evicted. *)
+let evict_from t c ~vcpu ~cls ~n ~(evict : evict) =
+  if Array.length t.evict_buf = 0 then
+    (* [class_cap] bounds every class stack by the hard per-class limit. *)
+    t.evict_buf <- Array.make t.config.Config.per_cpu_class_cap_objects 0;
+  let m = Int_stack.pop_into c.stacks.(cls) t.evict_buf ~pos:0 ~n in
+  let bytes = m * Size_class.size cls in
+  c.used_bytes <- c.used_bytes - bytes;
+  evict ~vcpu ~cls ~buf:t.evict_buf ~n:m;
+  bytes
 
 (* Shrink a cache to its (reduced) budget by evicting whole stacks of the
    largest classes first — the paper prioritizes shrinking larger size
    classes since small objects dominate the allocation mix. *)
-let enforce_budget c ~vcpu ~evict =
+let enforce_budget t c ~vcpu ~evict =
   let cls = ref (Size_class.count - 1) in
   while c.used_bytes > c.capacity_bytes && !cls >= 0 do
     let stack = c.stacks.(!cls) in
     if not (Int_stack.is_empty stack) then begin
       let size = Size_class.size !cls in
-      let excess_objects =
-        ((c.used_bytes - c.capacity_bytes + size - 1) / size) |> min (Int_stack.length stack)
-      in
-      let addrs = Int_stack.pop_up_to stack excess_objects in
-      c.used_bytes <- c.used_bytes - (List.length addrs * size);
-      evict ~vcpu ~cls:!cls ~addrs
+      let n = (c.used_bytes - c.capacity_bytes + size - 1) / size in
+      ignore (evict_from t c ~vcpu ~cls:!cls ~n ~evict)
     end;
     decr cls
   done
@@ -310,14 +276,22 @@ let decay_tick t ~evict =
                whole interval: surplus capacity to give back (TCMalloc's
                demand-based per-class capacity shrinking). *)
             let n = min (c.low_watermark.(cls) / 2) (Int_stack.length stack) in
-            if n > 0 then begin
-              let addrs = Int_stack.pop_up_to stack n in
-              c.used_bytes <- c.used_bytes - (List.length addrs * Size_class.size cls);
-              evict ~vcpu ~cls ~addrs
-            end;
+            if n > 0 then ignore (evict_from t c ~vcpu ~cls ~n ~evict);
             c.low_watermark.(cls) <- Int_stack.length stack)
           c.stacks)
     t.caches
+
+(* Empty every class stack of one cache into [evict]; returns the bytes
+   drained.  The budget is untouched. *)
+let drain_cache t c ~vcpu ~evict =
+  let drained = ref 0 in
+  Array.iteri
+    (fun cls stack ->
+      let n = Int_stack.length stack in
+      if n > 0 then drained := !drained + evict_from t c ~vcpu ~cls ~n ~evict;
+      c.low_watermark.(cls) <- 0)
+    c.stacks;
+  !drained
 
 (* Pressure-driven shrink: empty every (vCPU, class) stack, handing the
    objects to [evict] for routing down the hierarchy.  Capacity budgets are
@@ -328,19 +302,7 @@ let drain t ~evict =
     (fun vcpu slot ->
       match slot with
       | None -> ()
-      | Some c ->
-        Array.iteri
-          (fun cls stack ->
-            let n = Int_stack.length stack in
-            if n > 0 then begin
-              let addrs = Int_stack.pop_up_to stack n in
-              let bytes = List.length addrs * Size_class.size cls in
-              c.used_bytes <- c.used_bytes - bytes;
-              drained := !drained + bytes;
-              evict ~vcpu ~cls ~addrs
-            end;
-            c.low_watermark.(cls) <- 0)
-          c.stacks)
+      | Some c -> drained := !drained + drain_cache t c ~vcpu ~evict)
     t.caches;
   !drained
 
@@ -348,26 +310,10 @@ let drain t ~evict =
    cache, handing the objects to [evict].  The background reclaim pass and
    churn-time flushes use this; the cache stays populated (budget intact)
    so a reused id finds a warm, correctly sized cache. *)
+let slot t vcpu = if vcpu < 0 || vcpu >= Array.length t.caches then None else t.caches.(vcpu)
+
 let drain_vcpu t ~vcpu ~evict =
-  match
-    if vcpu < 0 || vcpu >= Array.length t.caches then None else t.caches.(vcpu)
-  with
-  | None -> 0
-  | Some c ->
-    let drained = ref 0 in
-    Array.iteri
-      (fun cls stack ->
-        let n = Int_stack.length stack in
-        if n > 0 then begin
-          let addrs = Int_stack.pop_up_to stack n in
-          let bytes = List.length addrs * Size_class.size cls in
-          c.used_bytes <- c.used_bytes - bytes;
-          drained := !drained + bytes;
-          evict ~vcpu ~cls ~addrs
-        end;
-        c.low_watermark.(cls) <- 0)
-      c.stacks;
-    !drained
+  match slot t vcpu with None -> 0 | Some c -> drain_cache t c ~vcpu ~evict
 
 let populated_list t =
   let out = ref [] in
@@ -411,7 +357,7 @@ let resize t ~evict =
                 victim.capacity_bytes - t.config.Config.resize_step_bytes;
               grower.capacity_bytes <-
                 grower.capacity_bytes + t.config.Config.resize_step_bytes;
-              enforce_budget victim ~vcpu:vcpu_v ~evict
+              enforce_budget t victim ~vcpu:vcpu_v ~evict
             end)
           growers
       end
@@ -419,7 +365,6 @@ let resize t ~evict =
     List.iter (fun (_, c) -> c.interval_misses <- 0) caches
   end
 
-let slot t vcpu = if vcpu < 0 || vcpu >= Array.length t.caches then None else t.caches.(vcpu)
 let used_bytes t ~vcpu = match slot t vcpu with Some c -> c.used_bytes | None -> 0
 let capacity_bytes t ~vcpu = match slot t vcpu with Some c -> c.capacity_bytes | None -> 0
 
@@ -428,12 +373,6 @@ let cached_bytes t =
     (fun acc slot -> match slot with Some c -> acc + c.used_bytes | None -> acc)
     0 t.caches
 
-let capacity_total t =
-  Array.fold_left
-    (fun acc slot -> match slot with Some c -> acc + c.capacity_bytes | None -> acc)
-    0 t.caches
-
-let populated_caches t = t.populated
 let populated_vcpus t = List.map fst (populated_list t)
 
 let iter_addrs t f =

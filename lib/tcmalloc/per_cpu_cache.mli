@@ -18,16 +18,16 @@
     from their largest size classes first (small objects dominate
     allocations, Fig. 7).
 
-    Every fast-path operation is a {b restartable sequence}: staging reads
-    the cache and records a decision, a single commit holds all mutation,
-    so {!Wsc_os.Rseq} can abort a preempted attempt without tearing the
-    cache.  The per-event operations exist in three shapes, hottest first:
-    the plain [alloc]/[dealloc] fuse stage and commit into one direct,
-    allocation-free call (the no-preemption fast path);
-    [prepare_alloc]/[prepare_dealloc] + [commit_staged] stage into a
-    reusable buffer for {!Wsc_os.Rseq.run_op} (allocation-free under a
-    live injector); and the [stage_*] closures return a first-class
-    {!Wsc_os.Rseq.staged} value (batch flush/fill, tests). *)
+    Every operation is a {b restartable sequence}: a [prepare_*] reads the
+    cache and records its decision in the cache's op buffer, and
+    {!commit_staged} holds all mutation, so {!Wsc_os.Rseq.run_op} can abort
+    a preempted attempt without tearing the cache.  With rseq off the batch
+    ops ({!fill_from}, {!flush_batch_into}) prepare and commit in one call.
+    Only the per-event {!alloc}/{!dealloc}, the hottest path, fuse the two
+    halves into one direct step.  The per-event and batch ops allocate
+    nothing once a cache is populated (batches move through caller-owned
+    buffers), and evictions pop into a buffer the cache owns instead of a
+    list. *)
 
 type addr = int
 
@@ -42,22 +42,15 @@ val dealloc : t -> vcpu:int -> cls:int -> addr -> bool
 (** Fast-path deallocation; [false] means the cache is full (counted as a
     miss) and the caller must flush a batch to the transfer cache. *)
 
-val flush_batch : t -> vcpu:int -> cls:int -> n:int -> addr list
-(** Pop up to [n] cached objects of a class (used on deallocation misses). *)
-
-val fill : t -> vcpu:int -> cls:int -> addrs:addr list -> addr list
-(** Insert refilled objects; returns those that did not fit the budget. *)
+val fill_from : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
+(** {!prepare_fill} then {!commit_staged}: returns how many objects were
+    cached. *)
 
 val flush_batch_into : t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
-(** Allocation-free {!flush_batch}: up to [n] objects (most-recent first)
-    land in [buf.(pos) ..]; returns how many. *)
+(** {!prepare_flush} then {!commit_staged}: returns how many objects landed
+    in [buf]. *)
 
-val fill_from : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
-(** Allocation-free {!fill}: offer [buf.(lo) .. buf.(hi-1)] in order and
-    accept the budget-bounded prefix; returns how many were accepted (the
-    suffix from [buf.(lo + accepted)] was rejected). *)
-
-(** {2 Restartable fast-path operations — reusable staged-op buffer}
+(** {2 Restartable operations — the op buffer}
 
     Protocol: call one [prepare_*] (pure, allocation-free — it only
     records the decision in the cache-wide op buffer), then
@@ -72,42 +65,48 @@ val prepare_alloc : t -> vcpu:int -> cls:int -> addr
 val prepare_dealloc : t -> vcpu:int -> cls:int -> addr -> bool
 (** Stage one deallocation; [false] stages a cache-full miss. *)
 
+val prepare_fill : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
+(** Stage a refill offering [buf.(lo) .. buf.(hi-1)] in order; returns how
+    many committing will cache.  The cache accepts the prefix its byte
+    budget and per-class object cap allow, so the suffix from
+    [buf.(lo + accepted)] is rejected.  [buf] is read at commit. *)
+
+val prepare_flush : t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
+(** Stage a batch flush of up to [n] cached objects of a class; returns how
+    many committing will pop into [buf.(pos) ..], most recent first.
+    Staging writes nothing into [buf]. *)
+
 val commit_staged : t -> unit
 (** Apply the op staged by the last [prepare_*]; no-op if none pending. *)
 
-(** {2 Restartable (staged) fast-path operations — first-class form} *)
+(** {2 Evictions}
 
-val stage_alloc : t -> vcpu:int -> cls:int -> addr option Wsc_os.Rseq.staged
-(** Stage one allocation: the value is the object that committing would
-    pop ([None] stages a miss, whose commit only bumps the miss counter). *)
+    Each eviction pops one (vCPU, class) stack into the cache's own
+    eviction buffer, most recent first, and hands [evict] the buffer and
+    the count: [buf.(0) .. buf.(n-1)] is only valid during the call.  The
+    buffer, allocated at the first eviction, holds
+    {!Config.t.per_cpu_class_cap_objects} objects, the cap on every class
+    stack. *)
 
-val stage_dealloc : t -> vcpu:int -> cls:int -> addr -> bool Wsc_os.Rseq.staged
-(** Stage one deallocation; [false] stages a cache-full miss. *)
+type evict = vcpu:int -> cls:int -> buf:addr array -> n:int -> unit
 
-val stage_flush_batch : t -> vcpu:int -> cls:int -> n:int -> addr list Wsc_os.Rseq.staged
-(** Stage a batch flush: the value is the batch committing would pop. *)
-
-val stage_fill : t -> vcpu:int -> cls:int -> addrs:addr list -> addr list Wsc_os.Rseq.staged
-(** Stage a refill: the value is the rejected suffix; committing inserts
-    the accepted prefix. *)
-
-val decay_tick : t -> evict:(vcpu:int -> cls:int -> addrs:addr list -> unit) -> unit
+val decay_tick : t -> evict:evict -> unit
 (** Demand-based capacity decay (TCMalloc shrinks per-class capacity that
     goes unused): flush half of each (vCPU, class) stack's low watermark —
     the objects that sat untouched for the whole previous interval.  Runs
     in both baseline and optimized configs. *)
 
-val drain : t -> evict:(vcpu:int -> cls:int -> addrs:addr list -> unit) -> int
+val drain : t -> evict:evict -> int
 (** Memory-pressure shrink (first stage of the reclaim cascade): flush every
     cached object of every vCPU to [evict] and return the bytes drained.
     Capacity budgets are preserved; only contents are evicted. *)
 
-val drain_vcpu : t -> vcpu:int -> evict:(vcpu:int -> cls:int -> addrs:addr list -> unit) -> int
+val drain_vcpu : t -> vcpu:int -> evict:evict -> int
 (** Stranded-cache reclaim: flush every cached object of {e one} vCPU to
     [evict] and return the bytes drained (0 for an unpopulated id).  The
     cache keeps its capacity budget, so a reused id finds it warm. *)
 
-val resize : t -> evict:(vcpu:int -> cls:int -> addrs:addr list -> unit) -> unit
+val resize : t -> evict:evict -> unit
 (** One dynamic-sizing pass (no-op when the config disables it).  Evicted
     objects from shrunk caches are handed to [evict] for routing to the
     transfer cache.  Resets the per-interval miss counters. *)
@@ -116,9 +115,6 @@ val used_bytes : t -> vcpu:int -> int
 val capacity_bytes : t -> vcpu:int -> int
 val cached_bytes : t -> int
 (** Total bytes cached across vCPUs (front-end external fragmentation). *)
-
-val capacity_total : t -> int
-val populated_caches : t -> int
 
 val populated_vcpus : t -> int list
 (** vCPU ids whose caches have been populated, ascending. *)

@@ -90,10 +90,6 @@ let pop_object t =
     t.base + (slot * t.obj_size)
   end
 
-let pop_objects t ~n =
-  let k = min n (free_objects t) in
-  List.init k (fun _ -> pop_object t)
-
 let pop_objects_into t ~n ~buf ~pos =
   let k = min n (free_objects t) in
   for i = 0 to k - 1 do

@@ -73,14 +73,9 @@ val pop_object : t -> addr
 (** Extract one object; a small object leaves the span {!Cached}.
     @raise Invalid_argument when exhausted. *)
 
-val pop_objects : t -> n:int -> addr list
-(** Extract up to [n] objects. *)
-
 val pop_objects_into : t -> n:int -> buf:addr array -> pos:int -> int
-(** [pop_objects_into t ~n ~buf ~pos] is {!pop_objects} without the list:
-    up to [n] objects land in [buf.(pos) ..] in pop order; returns how
-    many.  The cache-miss batch path uses this with a preallocated
-    scratch buffer. *)
+(** Extract up to [n] objects into [buf.(pos) ..], in {!pop_object}
+    order; returns how many. *)
 
 val push_object : t -> addr -> unit
 (** Return an object to the span as {!Free}.  @raise Invalid_argument if

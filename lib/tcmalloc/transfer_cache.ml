@@ -66,43 +66,6 @@ let shard_room shard cls =
   let slot = shard.slots.(cls) in
   slot.capacity - Int_stack.length slot.addrs
 
-type remove_result = {
-  addrs : addr list;
-  local_reuse : int;
-  remote_reuse : int;
-  from_cfl : int;
-  mmaps : int;
-}
-
-let remove t ~cls ~n ~domain ~now =
-  let out = ref [] in
-  let local = ref 0 and remote = ref 0 in
-  let need = ref n in
-  let drain shard =
-    let continue = ref true in
-    while !need > 0 && !continue do
-      match shard_pop shard cls with
-      | None -> continue := false
-      | Some (a, home) ->
-        out := a :: !out;
-        decr need;
-        if home = domain then incr local else incr remote
-    done
-  in
-  if Array.length t.domain_shards > 0 then drain t.domain_shards.(domain);
-  if !need > 0 then drain t.central;
-  let from_cfl = !need in
-  let mmaps =
-    if !need > 0 then begin
-      let addrs, mmaps = Central_free_list.remove_objects t.cfl ~cls ~n:!need ~now in
-      out := List.rev_append addrs !out;
-      need := 0;
-      mmaps
-    end
-    else 0
-  in
-  { addrs = !out; local_reuse = !local; remote_reuse = !remote; from_cfl; mmaps }
-
 type remove_stats = {
   mutable rs_count : int;
   mutable rs_local : int;
@@ -114,7 +77,7 @@ type remove_stats = {
 let make_remove_stats () =
   { rs_count = 0; rs_local = 0; rs_remote = 0; rs_from_cfl = 0; rs_mmaps = 0 }
 
-(* In-place [lo, hi) reversal, for matching [remove]'s list order below. *)
+(* In-place [lo, hi) reversal, for the batch order below. *)
 let rev_range buf lo hi =
   let i = ref lo and j = ref (hi - 1) in
   while !i < !j do
@@ -125,10 +88,9 @@ let rev_range buf lo hi =
     decr j
   done
 
-(* Allocation-free twin of [remove]: the batch lands in [buf.(0) ..
-   stats.rs_count) in exactly the order the list form would have produced
-   ([CFL objects in pop order] then [shard pops, most recent first]), so
-   the per-CPU refill sees an identical stream. *)
+(* The batch lands in [buf.(0) .. stats.rs_count) as the central free
+   list's objects in span pop order, then the shard pops with the last one
+   popped first. *)
 let remove_into t ~cls ~n ~domain ~now ~buf ~stats =
   let k = ref 0 in
   let need = ref n in
@@ -161,40 +123,11 @@ let remove_into t ~cls ~n ~domain ~now ~buf ~stats =
           ~pos:shard_pops ~mmaps;
   stats.rs_mmaps <- !mmaps;
   stats.rs_count <- !k;
-  (* [remove] returns [rev cfl-pops @ rev shard-pops]; the buffer holds
-     [shard-pops ++ cfl-pops], so reverse the CFL segment then the whole
-     prefix to land on the same order. *)
+  (* The buffer holds [shard-pops ++ cfl-pops]: reverse the CFL segment,
+     then the whole prefix. *)
   rev_range buf shard_pops !k;
   rev_range buf 0 !k
 
-let insert t ~cls ~addrs ~domain ~now =
-  let overflow = ref [] in
-  let store shard a =
-    if shard_room shard cls > 0 then begin
-      shard_push shard cls a domain;
-      true
-    end
-    else false
-  in
-  List.iter
-    (fun a ->
-      let stored =
-        if Array.length t.domain_shards > 0 then
-          store t.domain_shards.(domain) a || store t.central a
-        else store t.central a
-      in
-      if not stored then overflow := a :: !overflow)
-    addrs;
-  let n_overflow = List.length !overflow in
-  if n_overflow > 0 then Central_free_list.return_objects t.cfl ~cls ~addrs:!overflow ~now;
-  n_overflow
-
-(* Buffer twins of [insert] for the cache-miss batch path.  Storage order
-   matches the list form exactly — including the cons-accumulated overflow
-   that goes back to the central free list — so span occupancy evolves
-   bit-identically.  [insert_from] walks [buf.(lo) .. buf.(hi-1)] forward
-   (the [a :: flushed] dealloc order); [insert_rev_from] walks it backward
-   (the reversed-rejected-suffix refill order). *)
 let store_one t ~cls ~domain a =
   let store shard =
     if shard_room shard cls > 0 then begin
@@ -207,11 +140,14 @@ let store_one t ~cls ~domain a =
     store t.domain_shards.(domain) || store t.central
   else store t.central
 
-let insert_from t ~cls ~domain ~now ~buf ~lo ~hi =
+(* Store [buf.(lo) .. buf.(hi-1)], walked forward or (with [rev]) backward;
+   objects with no room go to the central free list, in the reverse of the
+   order they overflowed. *)
+let insert_range t ~cls ~domain ~now ~buf ~lo ~hi ~rev =
   let overflow = ref [] in
   let n_overflow = ref 0 in
-  for i = lo to hi - 1 do
-    let a = buf.(i) in
+  for i = 0 to hi - lo - 1 do
+    let a = buf.(if rev then hi - 1 - i else lo + i) in
     if not (store_one t ~cls ~domain a) then begin
       overflow := a :: !overflow;
       incr n_overflow
@@ -221,19 +157,11 @@ let insert_from t ~cls ~domain ~now ~buf ~lo ~hi =
     Central_free_list.return_objects t.cfl ~cls ~addrs:!overflow ~now;
   !n_overflow
 
+let insert_from t ~cls ~domain ~now ~buf ~lo ~hi =
+  insert_range t ~cls ~domain ~now ~buf ~lo ~hi ~rev:false
+
 let insert_rev_from t ~cls ~domain ~now ~buf ~lo ~hi =
-  let overflow = ref [] in
-  let n_overflow = ref 0 in
-  for i = hi - 1 downto lo do
-    let a = buf.(i) in
-    if not (store_one t ~cls ~domain a) then begin
-      overflow := a :: !overflow;
-      incr n_overflow
-    end
-  done;
-  if !n_overflow > 0 then
-    Central_free_list.return_objects t.cfl ~cls ~addrs:!overflow ~now;
-  !n_overflow
+  insert_range t ~cls ~domain ~now ~buf ~lo ~hi ~rev:true
 
 (* Objects a slot never dipped into since the previous tick are surplus:
    NUCA shards drain half of that low watermark to the central cache (so

@@ -25,29 +25,14 @@ type t
 val create :
   ?config:Config.t -> topology:Wsc_hw.Topology.t -> Central_free_list.t -> t
 
-type remove_result = {
-  addrs : addr list;
-  local_reuse : int;  (** Objects reused from the requesting LLC domain. *)
-  remote_reuse : int;  (** Objects that must migrate across domains. *)
-  from_cfl : int;  (** Objects that fell through to the central free list. *)
-  mmaps : int;  (** mmap calls incurred below the central free list. *)
-}
-
-val remove : t -> cls:int -> n:int -> domain:int -> now:float -> remove_result
-(** Fetch [n] objects of a class for a consumer in [domain]. *)
-
-val insert : t -> cls:int -> addrs:addr list -> domain:int -> now:float -> int
-(** Store freed objects coming from [domain]; returns how many overflowed
-    to the central free list (0 when the cache had room). *)
-
-(** Mutable scratch record filled by {!remove_into} — the counters
-    {!remove_result} carries, without the per-miss record allocation. *)
+(** Mutable scratch record that {!remove_into} fills: how many objects it
+    delivered and where they came from. *)
 type remove_stats = {
   mutable rs_count : int;  (** Objects delivered into the buffer. *)
-  mutable rs_local : int;
-  mutable rs_remote : int;
-  mutable rs_from_cfl : int;
-  mutable rs_mmaps : int;
+  mutable rs_local : int;  (** Objects reused from the requesting LLC domain. *)
+  mutable rs_remote : int;  (** Objects that must migrate across domains. *)
+  mutable rs_from_cfl : int;  (** Objects that fell through to the central free list. *)
+  mutable rs_mmaps : int;  (** mmap calls incurred below the central free list. *)
 }
 
 val make_remove_stats : unit -> remove_stats
@@ -61,21 +46,22 @@ val remove_into :
   buf:addr array ->
   stats:remove_stats ->
   unit
-(** Allocation-free twin of {!remove} for the cache-miss batch path: up to
-    [n] objects land in [buf.(0) .. stats.rs_count) in exactly the order
-    {!remove} would have listed them, and the counters land in [stats].
-    [buf] must have room for [n] objects. *)
+(** Fetch up to [n] objects of a class for a consumer in [domain]: the
+    requester's NUCA shard first, then the central cache, then the central
+    free list.  They land in [buf.(0) .. stats.rs_count): the central free
+    list's objects in span pop order, then the cached objects with the last
+    one popped first.  [buf] must have room for [n] objects. *)
 
 val insert_from :
   t -> cls:int -> domain:int -> now:float -> buf:addr array -> lo:int -> hi:int -> int
-(** {!insert} of [buf.(lo) .. buf.(hi-1)] in forward order, without the
-    list; returns the overflow count. *)
+(** Store the freed objects [buf.(lo) .. buf.(hi-1)], in that order, coming
+    from [domain]; returns how many overflowed to the central free list (0
+    when the cache had room). *)
 
 val insert_rev_from :
   t -> cls:int -> domain:int -> now:float -> buf:addr array -> lo:int -> hi:int -> int
-(** {!insert} of [buf.(hi-1) .. buf.(lo)] (reverse order — the refill
-    path's rejected suffix is stored reversed); returns the overflow
-    count. *)
+(** {!insert_from} walking [buf.(hi-1) .. buf.(lo)] (the refill path
+    stores its rejected suffix reversed); returns the overflow count. *)
 
 val release_tick : t -> now:float -> unit
 (** Background release: every NUCA shard drains half of its untouched

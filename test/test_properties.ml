@@ -33,7 +33,7 @@ let tc_uniqueness =
         (fun (is_remove, domain) ->
           if is_remove || !held_list = [] then begin
             let n = 1 + Rng.int rng 32 in
-            let r = Transfer_cache.remove tc ~cls ~n ~domain ~now:0.0 in
+            let addrs, _ = Fixtures.tc_remove tc ~cls ~n ~domain ~now:0.0 in
             List.iter
               (fun a ->
                 if Hashtbl.mem held a then ok := false
@@ -41,7 +41,7 @@ let tc_uniqueness =
                   Hashtbl.replace held a ();
                   held_list := a :: !held_list
                 end)
-              r.Transfer_cache.addrs
+              addrs
           end
           else begin
             (* Return a random prefix of what we hold. *)
@@ -53,7 +53,7 @@ let tc_uniqueness =
             let back, keep = split k [] !held_list in
             held_list := keep;
             List.iter (Hashtbl.remove held) back;
-            ignore (Transfer_cache.insert tc ~cls ~addrs:back ~domain ~now:0.0)
+            ignore (Fixtures.tc_insert tc ~cls ~addrs:back ~domain ~now:0.0)
           end)
         ops;
       !ok)
@@ -74,9 +74,7 @@ let cfl_conservation =
           let cls = List.nth classes (op mod 3) in
           let current = Hashtbl.find held cls in
           if op mod 2 = 0 || current = [] then begin
-            let addrs, _ =
-              Central_free_list.remove_objects cfl ~cls ~n:(1 + Rng.int rng 64) ~now:0.0
-            in
+            let addrs = Fixtures.cfl_remove cfl ~cls ~n:(1 + Rng.int rng 64) ~now:0.0 in
             Hashtbl.replace held cls (addrs @ current)
           end
           else begin

@@ -12,6 +12,8 @@ module Fleet = Wsc_fleet.Fleet
 module Apps = Wsc_workload.Apps
 module Profile = Wsc_workload.Profile
 module Driver = Wsc_workload.Driver
+module Backend = Wsc_backend.Backend
+module Rseq = Wsc_os.Rseq
 
 let check_string = Alcotest.(check string)
 let hex_digest (s : Machine.summary) = Digest.to_hex s.Machine.sm_digest
@@ -64,6 +66,53 @@ let test_dist_stream () =
   check_string "dist stream digest" "3153f6263f76b00e7d08a2147c71a32a"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Restartable-sequence machines: two jobs of the optimized config under
+   CPU churn, transient mmap faults and audits, so the rseq miss paths,
+   both fallbacks and every per-CPU eviction (decay, resize, churn's
+   drain_vcpu, the reclaim cascade's drain) run.  Each digest covers the
+   machine summary, every job's whole Telemetry record and its injector's
+   op, restart and fallback counts. *)
+let rseq_machine_digest ~preempt_prob ~max_restarts =
+  let faults =
+    {
+      Wsc_os.Fault.no_faults with
+      seed = 3;
+      mmap_failure_rate = 0.05;
+      mmap_failure_burst = 1;
+      cpu_churn_period_ns = 0.25 *. Units.sec;
+    }
+  in
+  let m =
+    Machine.create ~seed:3 ~config:Wsc_tcmalloc.Config.all_optimizations ~faults
+      ~rseq:{ Rseq.seed = 3; preempt_prob; max_restarts }
+      ~audit_interval_ns:(0.5 *. Units.sec) ~platform:Wsc_hw.Topology.default
+      ~jobs:[ Apps.monarch; Apps.search_middle_tier ]
+      ()
+  in
+  Machine.run m ~duration_ns:(3.0 *. Units.sec) ~epoch_ns:Units.ms;
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (hex_digest (Machine.summary m));
+  List.iter
+    (fun (job : Machine.job) ->
+      if Driver.audit_violations job.Machine.driver > 0 then
+        Alcotest.failf "%s: heap audit found violations" job.Machine.profile.Profile.name;
+      let tel = Backend.telemetry job.Machine.backend in
+      let s = Rseq.stats (Option.get (Backend.rseq job.Machine.backend)) in
+      Buffer.add_string buf (Digest.to_hex (Digest.string (Marshal.to_string tel [])));
+      Buffer.add_string buf
+        (Printf.sprintf " ops %d restarts %d fallbacks %d\n" s.Rseq.ops s.Rseq.restarts
+           s.Rseq.fallbacks))
+    (Machine.jobs m);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_rseq_mild () =
+  check_string "rseq mild digest" "72ef5a8a03b299c6fc4e962df5f9b5be"
+    (rseq_machine_digest ~preempt_prob:0.01 ~max_restarts:3)
+
+let test_rseq_fallback_heavy () =
+  check_string "rseq fallback-heavy digest" "4d0a1eccc268e0b8d8df2935d0c74f94"
+    (rseq_machine_digest ~preempt_prob:0.2 ~max_restarts:1)
+
 let suite =
   [
     ( "refcheck",
@@ -71,5 +120,7 @@ let suite =
         Alcotest.test_case "machine digest and drain" `Quick test_machine_and_drain;
         Alcotest.test_case "fleet machine digests" `Quick test_fleet_machines;
         Alcotest.test_case "dist stream digest" `Quick test_dist_stream;
+        Alcotest.test_case "rseq mild machine digest" `Quick test_rseq_mild;
+        Alcotest.test_case "rseq fallback-heavy digest" `Quick test_rseq_fallback_heavy;
       ] );
   ]

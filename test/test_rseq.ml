@@ -25,11 +25,11 @@ let check_bool = Alcotest.(check bool)
 let rc ?(seed = 1) ?(p = 0.0) ?(budget = 3) () =
   { Rseq.seed; preempt_prob = p; max_restarts = budget }
 
-(* One trivial restartable op: reads vcpu 0, commits a counter bump. *)
+(* One trivial restartable op: reads vcpu 0, commits a counter bump.
+   Returns [Rseq.run_op]'s result: the restarts when it committed,
+   [-1 - restarts] when it fell back. *)
 let run_unit ?(commits = ref 0) r =
-  Rseq.run r
-    ~read_vcpu:(fun () -> 0)
-    ~stage:(fun ~vcpu:_ -> { Rseq.value = (); commit = (fun () -> incr commits) })
+  Rseq.run_op r ~read_vcpu:(fun () -> 0) ~prepare:ignore ~commit:(fun () -> incr commits)
 
 let expect_invalid_arg what f =
   match f () with
@@ -46,9 +46,7 @@ let audit_clean what m =
 let test_engine_commit_without_preemption () =
   let r = Rseq.create (rc ()) in
   let commits = ref 0 in
-  let result = run_unit ~commits r in
-  check_bool "committed" true (result.Rseq.outcome = Some ());
-  check_int "no restarts" 0 result.Rseq.restarts;
+  check_int "committed with no restarts" 0 (run_unit ~commits r);
   check_int "one commit" 1 !commits;
   let st = Rseq.stats r in
   check_int "ops" 1 st.Rseq.ops;
@@ -61,10 +59,8 @@ let test_engine_forced_abort_each_step () =
       let r = Rseq.create (rc ~budget:Rseq.n_steps ()) in
       Rseq.force_preempt r ~step;
       let commits = ref 0 in
-      let result = run_unit ~commits r in
       let name = Rseq.step_name step in
-      check_bool (name ^ " committed") true (result.Rseq.outcome = Some ());
-      check_int (name ^ " one restart") 1 result.Rseq.restarts;
+      check_int (name ^ " committed after one restart") 1 (run_unit ~commits r);
       check_int (name ^ " exactly one commit") 1 !commits;
       check_int (name ^ " forced abort consumed") 1 (Rseq.stats r).Rseq.forced_aborts;
       check_bool "step_of_index inverse" true (Rseq.step_of_index i = step))
@@ -76,13 +72,11 @@ let test_engine_budget_exhaustion () =
   let r = Rseq.create (rc ~budget:0 ()) in
   Rseq.force_preempt r ~step:Rseq.Commit;
   let commits = ref 0 in
-  let result = run_unit ~commits r in
-  check_bool "fell back" true (result.Rseq.outcome = None);
+  check_int "fell back with no restarts" (-1) (run_unit ~commits r);
   check_int "no commit on fallback" 0 !commits;
   check_int "fallback counted" 1 (Rseq.stats r).Rseq.fallbacks;
   (* The armed abort was consumed; the next op sails through. *)
-  let result = run_unit ~commits r in
-  check_bool "next op commits" true (result.Rseq.outcome = Some ())
+  check_int "next op commits" 0 (run_unit ~commits r)
 
 let test_engine_migration_idempotent_until_consumed () =
   let r = Rseq.create (rc ()) in
@@ -90,9 +84,26 @@ let test_engine_migration_idempotent_until_consumed () =
   Rseq.note_migration r;
   let first = run_unit r in
   let second = run_unit r in
-  check_int "one restart from both arms" 1 first.Rseq.restarts;
-  check_int "second op unaffected" 0 second.Rseq.restarts;
+  check_int "one restart from both arms" 1 first;
+  check_int "second op unaffected" 0 second;
   check_int "one forced abort" 1 (Rseq.stats r).Rseq.forced_aborts
+
+(* An operation through preallocated closures allocates nothing, even when
+   it restarts or falls back. *)
+let test_engine_run_op_allocates_nothing () =
+  let r = Rseq.create (rc ~p:0.3 ~budget:1 ()) in
+  let commits = ref 0 in
+  let read_vcpu () = 0 and prepare _ = () and commit () = incr commits in
+  ignore (Rseq.run_op r ~read_vcpu ~prepare ~commit);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Rseq.run_op r ~read_vcpu ~prepare ~commit)
+  done;
+  let words = Gc.minor_words () -. before in
+  let st = Rseq.stats r in
+  check_bool "restarts and fallbacks exercised" true
+    (st.Rseq.restarts > 0 && st.Rseq.fallbacks > 0);
+  check_bool (Printf.sprintf "%.0f minor words in 10,000 ops" words) true (words < 100.0)
 
 let test_engine_config_validation () =
   expect_invalid_arg "preempt_prob = 1" (fun () -> Rseq.create (rc ~p:1.0 ()));
@@ -112,31 +123,47 @@ let test_engine_deterministic_streams () =
 
 (* {1 Staged-operation purity} *)
 
+(* Every prepare_* only records a decision in the op buffer: the cache (and,
+   for a flush, the caller's buffer) changes at commit, and a re-prepare,
+   like a restart on another vCPU, replaces the staged op. *)
 let test_staged_ops_mutate_only_on_commit () =
   let pcc = Per_cpu_cache.create () in
   let cls = Option.get (Size_class.of_size 64) in
   let size = Size_class.size cls in
-  let rejected = Per_cpu_cache.fill pcc ~vcpu:0 ~cls ~addrs:[ 0x1000; 0x2000 ] in
-  check_int "fill accepted both" 0 (List.length rejected);
-  let used = Per_cpu_cache.used_bytes pcc ~vcpu:0 in
-  check_int "both cached" (2 * size) used;
-  let staged = Per_cpu_cache.stage_alloc pcc ~vcpu:0 ~cls in
-  check_int "staging pops nothing" used (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  let again = Per_cpu_cache.stage_alloc pcc ~vcpu:0 ~cls in
-  check_bool "staging is repeatable" true (staged.Rseq.value = again.Rseq.value);
-  let flush = Per_cpu_cache.stage_flush_batch pcc ~vcpu:0 ~cls ~n:2 in
-  check_int "flush preview removes nothing" used (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  check_int "flush preview sees both" 2 (List.length flush.Rseq.value);
-  staged.Rseq.commit ();
-  check_int "commit pops one" (used - size) (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  let back =
-    Per_cpu_cache.stage_dealloc pcc ~vcpu:0 ~cls (Option.get staged.Rseq.value)
-  in
-  check_bool "dealloc stages a hit" true back.Rseq.value;
-  check_int "staged dealloc pushes nothing" (used - size)
-    (Per_cpu_cache.used_bytes pcc ~vcpu:0);
-  back.Rseq.commit ();
-  check_int "committed dealloc restores" used (Per_cpu_cache.used_bytes pcc ~vcpu:0)
+  let used vcpu = Per_cpu_cache.used_bytes pcc ~vcpu in
+  let batch = [| 0x1000; 0x2000 |] in
+  check_int "fill stages both" 2
+    (Per_cpu_cache.prepare_fill pcc ~vcpu:0 ~cls ~buf:batch ~lo:0 ~hi:2);
+  check_int "staged fill caches nothing" 0 (used 0);
+  check_int "fill re-staged on vCPU 1" 2
+    (Per_cpu_cache.prepare_fill pcc ~vcpu:1 ~cls ~buf:batch ~lo:0 ~hi:2);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "commit fills the re-staged vCPU" (2 * size) (used 1);
+  check_int "first staging left no trace" 0 (used 0);
+  check_int "fill accepted both" 2
+    (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls ~buf:batch ~lo:0 ~hi:2);
+  let used0 = used 0 in
+  check_int "both cached" (2 * size) used0;
+  let out = Array.make 2 0 in
+  check_int "flush stages both" 2
+    (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls ~n:2 ~buf:out ~pos:0);
+  check_int "staged flush removes nothing" used0 (used 0);
+  Alcotest.(check (array int)) "staged flush writes nothing" [| 0; 0 |] out;
+  check_int "flush re-staged on vCPU 1" 2
+    (Per_cpu_cache.prepare_flush pcc ~vcpu:1 ~cls ~n:2 ~buf:out ~pos:0);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "commit flushes the re-staged vCPU" 0 (used 1);
+  check_int "first staging left no trace" used0 (used 0);
+  Alcotest.(check (array int)) "flushed most recent first" [| 0x2000; 0x1000 |] out;
+  let a = Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls in
+  check_int "staging pops nothing" used0 (used 0);
+  check_int "staging is repeatable" a (Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "commit pops one" (used0 - size) (used 0);
+  check_bool "dealloc stages a hit" true (Per_cpu_cache.prepare_dealloc pcc ~vcpu:0 ~cls a);
+  check_int "staged dealloc pushes nothing" (used0 - size) (used 0);
+  Per_cpu_cache.commit_staged pcc;
+  check_int "committed dealloc restores" used0 (used 0)
 
 (* {1 Exhaustive per-step preemption of malloc/free} *)
 
@@ -257,8 +284,8 @@ let test_audit_detects_duplicate_cached_object () =
   (* Simulate a torn commit: the object is now cached twice. *)
   let cls = Option.get (Size_class.of_size 64) in
   ignore
-    (Transfer_cache.insert (Malloc.transfer_cache m) ~cls ~addrs:[ a ] ~domain:0
-       ~now:(Clock.now clock));
+    (Transfer_cache.insert_from (Malloc.transfer_cache m) ~cls ~domain:0
+       ~now:(Clock.now clock) ~buf:[| a |] ~lo:0 ~hi:1);
   let report = Audit.run m in
   check_bool "duplicate flagged" true
     (List.exists (fun v -> v.Audit.check = "torn-operation") report.Audit.violations)
@@ -354,6 +381,8 @@ let suite =
         Alcotest.test_case "migration arming is one-shot" `Quick
           test_engine_migration_idempotent_until_consumed;
         Alcotest.test_case "config validation" `Quick test_engine_config_validation;
+        Alcotest.test_case "run_op allocates nothing" `Quick
+          test_engine_run_op_allocates_nothing;
         Alcotest.test_case "deterministic streams" `Quick
           test_engine_deterministic_streams;
         Alcotest.test_case "staged ops mutate only on commit" `Quick

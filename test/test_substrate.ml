@@ -426,11 +426,14 @@ let test_int_stack_lifo () =
   check_int "pop 2" 2 (Int_stack.pop s);
   check_int "length" 1 (Int_stack.length s)
 
-let test_int_stack_pop_up_to () =
+let test_int_stack_pop_into () =
   let s = Int_stack.create () in
   List.iter (Int_stack.push s) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "pop 3 most recent" [ 5; 4; 3 ] (Int_stack.pop_up_to s 3);
-  Alcotest.(check (list int)) "pop beyond size" [ 2; 1 ] (Int_stack.pop_up_to s 10)
+  let buf = Array.make 6 0 in
+  check_int "pop 3 most recent" 3 (Int_stack.pop_into s buf ~pos:0 ~n:3);
+  check_int "pop beyond size" 2 (Int_stack.pop_into s buf ~pos:3 ~n:10);
+  Alcotest.(check (array int)) "most recent first, from pos" [| 5; 4; 3; 2; 1; 0 |] buf;
+  check_int "emptied" 0 (Int_stack.length s)
 
 let test_int_stack_growth =
   qcheck
@@ -540,7 +543,7 @@ let suite =
     ( "int_stack",
       [
         Alcotest.test_case "lifo" `Quick test_int_stack_lifo;
-        Alcotest.test_case "pop_up_to" `Quick test_int_stack_pop_up_to;
+        Alcotest.test_case "pop_into" `Quick test_int_stack_pop_into;
         test_int_stack_growth;
       ] );
     ( "table",

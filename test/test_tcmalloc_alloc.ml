@@ -47,11 +47,58 @@ let test_pcc_capacity_bound () =
 
 let test_pcc_fill_and_flush () =
   let pcc = Per_cpu_cache.create () in
-  let rejected = Per_cpu_cache.fill pcc ~vcpu:0 ~cls:0 ~addrs:[ 1; 2; 3; 4 ] in
-  check_int "all fit" 0 (List.length rejected);
-  let batch = Per_cpu_cache.flush_batch pcc ~vcpu:0 ~cls:0 ~n:3 in
-  check_int "flushed three" 3 (List.length batch);
+  check_int "all fit" 4
+    (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls:0 ~buf:[| 1; 2; 3; 4 |] ~lo:0 ~hi:4);
+  let batch = Array.make 3 0 in
+  check_int "flushed three" 3
+    (Per_cpu_cache.flush_batch_into pcc ~vcpu:0 ~cls:0 ~n:3 ~buf:batch ~pos:0);
+  Alcotest.(check (array int)) "most recent first" [| 4; 3; 2 |] batch;
   check_int "one left" 8 (Per_cpu_cache.used_bytes pcc ~vcpu:0)
+
+(* A class stack filled to the largest per-class cap the tuner can set:
+   a drain hands every object to [evict] at once, most recent first. *)
+let test_pcc_drain_full_class_at_largest_cap () =
+  let config = { Config.baseline with Config.per_cpu_class_cap_objects = 4096 } in
+  let pcc = Per_cpu_cache.create ~config () in
+  let n = ref 0 in
+  while Per_cpu_cache.dealloc pcc ~vcpu:0 ~cls:0 (8 * (!n + 1)) do
+    incr n
+  done;
+  check_int "class 0 holds the cap" 4096 !n;
+  let evictions = ref [] in
+  let drained =
+    Per_cpu_cache.drain pcc ~evict:(fun ~vcpu ~cls ~buf ~n ->
+        evictions := (vcpu, cls, List.init n (fun i -> buf.(i))) :: !evictions)
+  in
+  check_int "bytes drained" (4096 * 8) drained;
+  match !evictions with
+  | [ (0, 0, addrs) ] ->
+    Alcotest.(check (list int)) "every object, most recent first"
+      (List.init 4096 (fun i -> 8 * (4096 - i)))
+      addrs
+  | _ -> Alcotest.fail "expected one eviction of vCPU 0, class 0"
+
+(* The per-CPU side of a cache miss allocates nothing once the cache is
+   populated: the fused batch ops and their prepare/commit halves. *)
+let test_pcc_batch_ops_allocate_nothing () =
+  let pcc = Per_cpu_cache.create () in
+  let buf = Array.init 32 (fun i -> 8 * (i + 1)) in
+  let round () =
+    ignore (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls:0 ~buf ~lo:0 ~hi:32);
+    ignore (Per_cpu_cache.flush_batch_into pcc ~vcpu:0 ~cls:0 ~n:32 ~buf ~pos:0);
+    ignore (Per_cpu_cache.prepare_fill pcc ~vcpu:0 ~cls:0 ~buf ~lo:0 ~hi:32);
+    Per_cpu_cache.commit_staged pcc;
+    ignore (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls:0 ~n:32 ~buf ~pos:0);
+    Per_cpu_cache.commit_staged pcc
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "round trips leave the cache empty" 0 (Per_cpu_cache.used_bytes pcc ~vcpu:0);
+  check_bool (Printf.sprintf "%.0f minor words in 1000 rounds" words) true (words < 100.0)
 
 let test_pcc_resize_moves_capacity () =
   let config =
@@ -71,7 +118,8 @@ let test_pcc_resize_moves_capacity () =
   let cap0_before = Per_cpu_cache.capacity_bytes pcc ~vcpu:0 in
   let cap1_before = Per_cpu_cache.capacity_bytes pcc ~vcpu:1 in
   let evicted = ref [] in
-  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls:_ ~addrs -> evicted := addrs @ !evicted);
+  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls:_ ~buf ~n ->
+      evicted := List.init n (fun i -> buf.(i)) @ !evicted);
   check_int "vcpu0 grew" (cap0_before + (256 * 1024)) (Per_cpu_cache.capacity_bytes pcc ~vcpu:0);
   check_int "vcpu1 shrank" (cap1_before - (256 * 1024))
     (Per_cpu_cache.capacity_bytes pcc ~vcpu:1);
@@ -91,13 +139,13 @@ let test_pcc_resize_evicts_large_classes_first () =
   (* vcpu1 holds one big object and some small ones; shrinking must evict
      the big class first. *)
   let big_cls = Size_class.count - 1 in
-  ignore (Per_cpu_cache.fill pcc ~vcpu:1 ~cls:big_cls ~addrs:[ 1000 ]);
-  ignore (Per_cpu_cache.fill pcc ~vcpu:1 ~cls:0 ~addrs:[ 1; 2; 3 ]);
+  ignore (Per_cpu_cache.fill_from pcc ~vcpu:1 ~cls:big_cls ~buf:[| 1000 |] ~lo:0 ~hi:1);
+  ignore (Per_cpu_cache.fill_from pcc ~vcpu:1 ~cls:0 ~buf:[| 1; 2; 3 |] ~lo:0 ~hi:3);
   for _ = 1 to 10 do
     ignore (Per_cpu_cache.alloc pcc ~vcpu:0 ~cls:0)
   done;
   let evicted_classes = ref [] in
-  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls ~addrs:_ ->
+  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls ~buf:_ ~n:_ ->
       evicted_classes := cls :: !evicted_classes);
   check_bool "evicted from the largest class" true (List.mem big_cls !evicted_classes);
   check_bool "small class untouched" true (not (List.mem 0 !evicted_classes))
@@ -106,7 +154,8 @@ let test_pcc_static_resize_noop () =
   let pcc = Per_cpu_cache.create ~config:Config.baseline () in
   ignore (Per_cpu_cache.alloc pcc ~vcpu:0 ~cls:0);
   let cap = Per_cpu_cache.capacity_bytes pcc ~vcpu:0 in
-  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls:_ ~addrs:_ -> Alcotest.fail "no eviction");
+  Per_cpu_cache.resize pcc ~evict:(fun ~vcpu:_ ~cls:_ ~buf:_ ~n:_ ->
+      Alcotest.fail "no eviction");
   check_int "capacity unchanged" cap (Per_cpu_cache.capacity_bytes pcc ~vcpu:0)
 
 (* {1 Helpers for middle/back-end tests} *)
@@ -121,7 +170,7 @@ let make_stack ?(config = Config.baseline) ?span_stats () =
 
 let test_cfl_remove_return_roundtrip () =
   let _, ph, cfl = make_stack () in
-  let addrs, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:100 ~now:0.0 in
+  let addrs = Fixtures.cfl_remove cfl ~cls:0 ~n:100 ~now:0.0 in
   check_int "got 100" 100 (List.length addrs);
   check_int "distinct" 100 (List.length (List.sort_uniq compare addrs));
   check_bool "spans held" true (Central_free_list.span_count cfl ~cls:0 >= 1);
@@ -131,7 +180,7 @@ let test_cfl_remove_return_roundtrip () =
 
 let test_cfl_fragmentation_accounting () =
   let _, _, cfl = make_stack () in
-  let addrs, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:10 ~now:0.0 in
+  let addrs = Fixtures.cfl_remove cfl ~cls:0 ~n:10 ~now:0.0 in
   (* One 8 KiB span of 8 B objects = 1024 objects; 10 outstanding. *)
   check_int "frag = free objects x size" ((1024 - 10) * 8)
     (Central_free_list.fragmented_bytes cfl);
@@ -146,7 +195,7 @@ let test_cfl_wild_return () =
 
 let test_cfl_class_mismatch () =
   let _, _, cfl = make_stack () in
-  let addrs, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:1 ~now:0.0 in
+  let addrs = Fixtures.cfl_remove cfl ~cls:0 ~n:1 ~now:0.0 in
   Alcotest.check_raises "class mismatch"
     (Invalid_argument "Central_free_list.return_objects: class mismatch") (fun () ->
       Central_free_list.return_objects cfl ~cls:5 ~addrs ~now:0.0)
@@ -159,14 +208,14 @@ let test_cfl_prioritization_packs_densely () =
     let rng = Rng.create 42 in
     let live = ref [] in
     (* Allocate 2000, free random 1500, allocate 1000, count spans. *)
-    let addrs, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:2000 ~now:0.0 in
+    let addrs = Fixtures.cfl_remove cfl ~cls:0 ~n:2000 ~now:0.0 in
     live := addrs;
     let arr = Array.of_list !live in
     Rng.shuffle rng arr;
     let to_free = Array.sub arr 0 1500 in
     let kept = Array.sub arr 1500 (Array.length arr - 1500) in
     Central_free_list.return_objects cfl ~cls:0 ~addrs:(Array.to_list to_free) ~now:1.0;
-    let more, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:1000 ~now:2.0 in
+    let more = Fixtures.cfl_remove cfl ~cls:0 ~n:1000 ~now:2.0 in
     ignore kept;
     ignore more;
     Central_free_list.span_count cfl ~cls:0
@@ -178,7 +227,7 @@ let test_cfl_prioritization_packs_densely () =
 let test_cfl_span_stats_events () =
   let stats = Span_stats.create () in
   let _, _, cfl = make_stack ~span_stats:stats () in
-  let addrs, _ = Central_free_list.remove_objects cfl ~cls:3 ~n:50 ~now:0.0 in
+  let addrs = Fixtures.cfl_remove cfl ~cls:3 ~n:50 ~now:0.0 in
   Central_free_list.snapshot cfl ~now:1.0;
   Central_free_list.return_objects cfl ~cls:3 ~addrs ~now:2.0;
   check_bool "created recorded" true (Span_stats.spans_created stats ~cls:3 >= 1);
@@ -192,26 +241,27 @@ let test_cfl_span_stats_events () =
 let test_tc_insert_remove_legacy () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_uni cfl in
-  check_int "no overflow" 0 (Transfer_cache.insert tc ~cls:0 ~addrs:[ 11; 22 ] ~domain:0 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:0 ~now:0.0 in
-  check_int "both from tc" 2 (List.length r.Transfer_cache.addrs);
-  check_int "no cfl" 0 r.Transfer_cache.from_cfl;
-  check_int "local (same domain)" 2 r.Transfer_cache.local_reuse
+  check_int "no overflow" 0
+    (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 11; 22 ] ~domain:0 ~now:0.0);
+  let addrs, r = Fixtures.tc_remove tc ~cls:0 ~n:2 ~domain:0 ~now:0.0 in
+  check_int "both from tc" 2 (List.length addrs);
+  check_int "no cfl" 0 r.Transfer_cache.rs_from_cfl;
+  check_int "local (same domain)" 2 r.Transfer_cache.rs_local
 
 let test_tc_falls_through_to_cfl () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_uni cfl in
-  let r = Transfer_cache.remove tc ~cls:0 ~n:5 ~domain:0 ~now:0.0 in
-  check_int "all from cfl" 5 r.Transfer_cache.from_cfl;
-  check_int "five objects" 5 (List.length r.Transfer_cache.addrs)
+  let addrs, r = Fixtures.tc_remove tc ~cls:0 ~n:5 ~domain:0 ~now:0.0 in
+  check_int "all from cfl" 5 r.Transfer_cache.rs_from_cfl;
+  check_int "five objects" 5 (List.length addrs)
 
 let test_tc_legacy_cross_domain_is_remote () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_chiplet cfl in
-  ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2; 3 ] ~domain:0 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:3 ~domain:5 ~now:0.0 in
-  check_int "remote reuse seen" 3 r.Transfer_cache.remote_reuse;
-  check_int "no local" 0 r.Transfer_cache.local_reuse
+  ignore (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 1; 2; 3 ] ~domain:0 ~now:0.0);
+  let _, r = Fixtures.tc_remove tc ~cls:0 ~n:3 ~domain:5 ~now:0.0 in
+  check_int "remote reuse seen" 3 r.Transfer_cache.rs_remote;
+  check_int "no local" 0 r.Transfer_cache.rs_local
 
 let nuca_config = Config.with_nuca_transfer_cache true Config.baseline
 
@@ -219,25 +269,25 @@ let test_tc_nuca_prefers_local () =
   let _, _, cfl = make_stack ~config:nuca_config () in
   let tc = Transfer_cache.create ~config:nuca_config ~topology:topo_chiplet cfl in
   check_int "16 shards" 16 (Transfer_cache.shard_count tc);
-  ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2 ] ~domain:3 ~now:0.0);
-  ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 3; 4 ] ~domain:7 ~now:0.0);
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:3 ~now:0.0 in
-  check_int "local reuse" 2 r.Transfer_cache.local_reuse;
-  check_int "no remote" 0 r.Transfer_cache.remote_reuse
+  ignore (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 1; 2 ] ~domain:3 ~now:0.0);
+  ignore (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 3; 4 ] ~domain:7 ~now:0.0);
+  let _, r = Fixtures.tc_remove tc ~cls:0 ~n:2 ~domain:3 ~now:0.0 in
+  check_int "local reuse" 2 r.Transfer_cache.rs_local;
+  check_int "no remote" 0 r.Transfer_cache.rs_remote
 
 let test_tc_nuca_release_tick_moves_to_central () =
   let _, _, cfl = make_stack ~config:nuca_config () in
   let tc = Transfer_cache.create ~config:nuca_config ~topology:topo_chiplet cfl in
-  ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2; 3; 4 ] ~domain:2 ~now:0.0);
+  ignore (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 1; 2; 3; 4 ] ~domain:2 ~now:0.0);
   (* First tick only establishes the low watermark; the second drains half
      of the untouched surplus to the central cache. *)
   Transfer_cache.release_tick tc ~now:1.0;
   Transfer_cache.release_tick tc ~now:2.0;
   (* A consumer in another domain now sees drained objects as remote
      (instead of falling to the CFL). *)
-  let r = Transfer_cache.remove tc ~cls:0 ~n:2 ~domain:9 ~now:2.0 in
-  check_int "remote from central" 2 r.Transfer_cache.remote_reuse;
-  check_int "nothing from cfl" 0 r.Transfer_cache.from_cfl
+  let _, r = Fixtures.tc_remove tc ~cls:0 ~n:2 ~domain:9 ~now:2.0 in
+  check_int "remote from central" 2 r.Transfer_cache.rs_remote;
+  check_int "nothing from cfl" 0 r.Transfer_cache.rs_from_cfl
 
 let test_tc_overflow_to_cfl () =
   let small_tc_config = { Config.baseline with Config.transfer_cache_bytes_per_class = 1 } in
@@ -245,15 +295,15 @@ let test_tc_overflow_to_cfl () =
   let tc = Transfer_cache.create ~config:small_tc_config ~topology:topo_uni cfl in
   (* Capacity floor is 2*batch = 64 for class 0; push 100 objects that
      actually belong to CFL spans. *)
-  let addrs, _ = Central_free_list.remove_objects cfl ~cls:0 ~n:100 ~now:0.0 in
-  let overflow = Transfer_cache.insert tc ~cls:0 ~addrs ~domain:0 ~now:0.0 in
+  let addrs = Fixtures.cfl_remove cfl ~cls:0 ~n:100 ~now:0.0 in
+  let overflow = Fixtures.tc_insert tc ~cls:0 ~addrs ~domain:0 ~now:0.0 in
   check_int "overflowed the rest" (100 - 64) overflow;
   check_int "cached 64" 64 (Transfer_cache.cached_objects tc ~cls:0)
 
 let test_tc_cached_bytes () =
   let _, _, cfl = make_stack () in
   let tc = Transfer_cache.create ~topology:topo_uni cfl in
-  ignore (Transfer_cache.insert tc ~cls:0 ~addrs:[ 1; 2; 3 ] ~domain:0 ~now:0.0);
+  ignore (Fixtures.tc_insert tc ~cls:0 ~addrs:[ 1; 2; 3 ] ~domain:0 ~now:0.0);
   check_int "3 x 8 B" 24 (Transfer_cache.cached_bytes tc)
 
 (* {1 Pageheap} *)
@@ -499,6 +549,10 @@ let suite =
         Alcotest.test_case "vcpu isolation" `Quick test_pcc_isolation_between_vcpus;
         Alcotest.test_case "capacity bound" `Quick test_pcc_capacity_bound;
         Alcotest.test_case "fill and flush" `Quick test_pcc_fill_and_flush;
+        Alcotest.test_case "drain of a full class at the largest cap" `Quick
+          test_pcc_drain_full_class_at_largest_cap;
+        Alcotest.test_case "batch ops allocate nothing" `Quick
+          test_pcc_batch_ops_allocate_nothing;
         Alcotest.test_case "resize moves capacity" `Quick test_pcc_resize_moves_capacity;
         Alcotest.test_case "resize evicts large classes" `Quick
           test_pcc_resize_evicts_large_classes_first;

@@ -97,8 +97,9 @@ let test_span_pop_push_roundtrip () =
 let test_span_addresses_distinct () =
   let s = make_span ~cls:3 () in
   let n = Size_class.capacity 3 in
-  let addrs = Span.pop_objects s ~n in
-  check_int "all popped" n (List.length addrs);
+  let buf = Array.make n 0 in
+  check_int "all popped" n (Span.pop_objects_into s ~n ~buf ~pos:0);
+  let addrs = Array.to_list buf in
   check_int "distinct" n (List.length (List.sort_uniq compare addrs));
   check_bool "exhausted" true (Span.is_exhausted s);
   List.iter
@@ -142,7 +143,7 @@ let test_span_fragmented_bytes () =
   let size = Size_class.size 5 in
   let cap = Size_class.capacity 5 in
   check_int "all free" (cap * size) (Span.fragmented_bytes s);
-  ignore (Span.pop_objects s ~n:3);
+  ignore (Span.pop_objects_into s ~n:3 ~buf:(Array.make 3 0) ~pos:0);
   check_int "after 3 pops" ((cap - 3) * size) (Span.fragmented_bytes s)
 
 let test_span_invariant_property =
