@@ -1,7 +1,8 @@
 (** Open-addressing int -> int hash table backed by unboxed Bigarray
     storage: no allocation on [mem]/[find]/[set]/[remove] (resizes aside),
     and the GC never scans the slots.  Used for the event-loop hot tables
-    (sampler tracking, recorder id map).
+    (sampler tracking, recorder id map) and the trace pipeline's id tables
+    (the codec's live index, replay's id -> address and id -> size maps).
 
     Keys must be greater than [min_int + 1]; the two smallest ints are
     reserved as internal slot markers. *)

@@ -123,6 +123,10 @@ let new_block ctx = ctx.dt_anchored <- false
 
 let live_length ctx = Live_index.length ctx.live
 
+(* The live index's table reserves the two smallest ints as slot markers
+   (Wsc_substrate.Int_table), so no trace may use them as object ids. *)
+let reserved_id id = id <= min_int + 1
+
 let cpu_escape = 63
 
 let put_byte0 buf ~tag ~cpu =
@@ -137,6 +141,8 @@ let encode ctx buf (ev : Event.event) =
   | Event.Alloc { id; size; cpu } ->
     if size <= 0 then invalid_arg "Wsc_trace: encode: alloc size <= 0";
     if cpu < 0 then invalid_arg "Wsc_trace: encode: negative cpu";
+    if reserved_id id then
+      invalid_arg (Printf.sprintf "Wsc_trace: encode: id %d is reserved" id);
     if Live_index.mem ctx.live id then
       invalid_arg (Printf.sprintf "Wsc_trace: encode: id %d already live" id);
     let delta = id - ctx.prev_alloc_id - 1 in
@@ -150,7 +156,7 @@ let encode ctx buf (ev : Event.event) =
     Live_index.append ctx.live id
   | Event.Free { id; cpu } ->
     if cpu < 0 then invalid_arg "Wsc_trace: encode: negative cpu";
-    if not (Live_index.mem ctx.live id) then
+    if reserved_id id || not (Live_index.mem ctx.live id) then
       invalid_arg (Printf.sprintf "Wsc_trace: encode: free of unknown id %d" id);
     put_byte0 buf ~tag:2 ~cpu;
     put_uvarint buf (Live_index.remove_rank ctx.live id)
@@ -188,6 +194,7 @@ let decode ctx b ~limit pos : Event.event =
     in
     let size = get_uvarint b ~limit pos in
     if size <= 0 then malformed "alloc size <= 0";
+    if reserved_id id then malformed "alloc of reserved id %d" id;
     if Live_index.mem ctx.live id then malformed "alloc of already-live id %d" id;
     ctx.prev_alloc_id <- id;
     Live_index.append ctx.live id;

@@ -54,6 +54,16 @@ val unzigzag : int -> int
 
 (** {1 Event codec} *)
 
+val reserved_id : int -> bool
+(** [min_int] and [min_int + 1] are reserved: {!Live_index} keys a
+    {!Wsc_substrate.Int_table} by object id, and that table uses the two
+    smallest ints as slot markers.  Every other int is a valid object id.
+    {!encode} (so {!Writer.add}) raises [Invalid_argument] on a reserved
+    id, {!decode} raises {!Malformed} (so {!Reader} raises
+    [Reader.Corrupt], naming the block) on an allocation that decodes to
+    one, and the text v1 reader raises [Invalid_argument] naming the line.
+    {!decode_salvage} remaps them like every negative id. *)
+
 type context
 (** Shared encoder/decoder state: previous allocation id, previous dt bits,
     and the live-object order-statistic index. *)
@@ -74,8 +84,8 @@ val encode : context -> Buffer.t -> Event.event -> unit
 (** Append one event to a block payload.  Enforces semantic validity so
     that written traces are well-formed by construction.
     @raise Invalid_argument on a non-positive size, negative cpu, negative
-    or NaN dt, an allocation of an already-live id, or a free of an id
-    that is not live. *)
+    or NaN dt, a {!reserved_id}, an allocation of an already-live id, or a
+    free of an id that is not live. *)
 
 val decode : context -> bytes -> limit:int -> int ref -> Event.event
 (** Decode one event from a block payload, advancing [pos].
@@ -104,7 +114,8 @@ type salvage_outcome =
 val decode_salvage :
   context -> fresh_id:(unit -> int) -> bytes -> limit:int -> int ref ->
   salvage_outcome
-(** Lenient {!decode}.  [fresh_id] must return an id that is neither live
-    nor previously issued (the salvage reader tracks the max id seen).
+(** Lenient {!decode}.  [fresh_id] must return an id that is neither live,
+    nor previously issued, nor a {!reserved_id} (the salvage reader counts
+    up from the max id seen), or raise {!Malformed} when none is left.
     @raise Malformed on structural damage — the remainder of the block is
     then untrustworthy and should be dropped. *)

@@ -12,7 +12,15 @@
    id -> slot table.  Dead slots are tombstones; when the array fills and
    at least half the slots are dead, the live slots are compacted in place
    of growing, so memory stays proportional to the live set, not the trace
-   length. *)
+   length.
+
+   The id -> slot table is a [Substrate.Int_table]: every encoded or
+   decoded allocation inserts into it and every free removes from it, and
+   it allocates no cell per live object.  It reserves [min_int] and
+   [min_int + 1] as slot markers, so those two ids cannot be indexed; the
+   codec rejects them where traces enter. *)
+
+open Wsc_substrate
 
 type t = {
   mutable ids : int array;  (* slot -> id, in allocation order *)
@@ -21,7 +29,7 @@ type t = {
   mutable cap : int;  (* power of two *)
   mutable n_slots : int;  (* next append position *)
   mutable n_live : int;
-  pos_of_id : (int, int) Hashtbl.t;
+  pos_of_id : Int_table.t;
 }
 
 let create () =
@@ -33,11 +41,11 @@ let create () =
     cap;
     n_slots = 0;
     n_live = 0;
-    pos_of_id = Hashtbl.create 1024;
+    pos_of_id = Int_table.create ~initial_capacity:2048 ();
   }
 
 let length t = t.n_live
-let mem t id = Hashtbl.mem t.pos_of_id id
+let mem t id = Int_table.mem t.pos_of_id id
 
 (* Fenwick primitives, 1-indexed over [1 .. cap]. *)
 
@@ -80,7 +88,7 @@ let rebuild t new_cap =
     if Bytes.unsafe_get t.live slot = '\001' then begin
       ids.(!k) <- t.ids.(slot);
       Bytes.unsafe_set live !k '\001';
-      Hashtbl.replace t.pos_of_id t.ids.(slot) !k;
+      Int_table.set t.pos_of_id t.ids.(slot) !k;
       incr k
     end
   done;
@@ -94,30 +102,29 @@ let rebuild t new_cap =
   done
 
 let append t id =
-  if Hashtbl.mem t.pos_of_id id then invalid_arg "Live_index.append: id already live";
+  if Int_table.mem t.pos_of_id id then invalid_arg "Live_index.append: id already live";
   if t.n_slots = t.cap then
     if 2 * t.n_live <= t.cap then rebuild t t.cap else rebuild t (2 * t.cap);
   let slot = t.n_slots in
   t.ids.(slot) <- id;
   Bytes.unsafe_set t.live slot '\001';
   fenwick_add t (slot + 1) 1;
-  Hashtbl.replace t.pos_of_id id slot;
+  Int_table.set t.pos_of_id id slot;
   t.n_slots <- slot + 1;
   t.n_live <- t.n_live + 1
 
 let remove_slot t slot =
   Bytes.unsafe_set t.live slot '\000';
   fenwick_add t (slot + 1) (-1);
-  Hashtbl.remove t.pos_of_id t.ids.(slot);
+  Int_table.remove t.pos_of_id t.ids.(slot);
   t.n_live <- t.n_live - 1
 
 let remove_rank t id =
-  match Hashtbl.find_opt t.pos_of_id id with
-  | None -> invalid_arg "Live_index.remove_rank: id not live"
-  | Some slot ->
-    let rank_from_end = t.n_live - fenwick_prefix t (slot + 1) in
-    remove_slot t slot;
-    rank_from_end
+  let slot = Int_table.find t.pos_of_id id ~default:(-1) in
+  if slot < 0 then invalid_arg "Live_index.remove_rank: id not live";
+  let rank_from_end = t.n_live - fenwick_prefix t (slot + 1) in
+  remove_slot t slot;
+  rank_from_end
 
 let remove_select t k =
   if k < 0 || k >= t.n_live then invalid_arg "Live_index.remove_select: rank out of range";

@@ -9,7 +9,13 @@
     rank written by one side is decoded to the same id by the other.
 
     All operations are O(log live); memory is O(live set), independent of
-    trace length (dead slots are compacted away). *)
+    trace length (dead slots are compacted away).  The id -> slot table is
+    a {!Wsc_substrate.Int_table}, so no operation allocates a cell per live
+    object.
+
+    Ids must be greater than [min_int + 1]: the table reserves the two
+    smallest ints as slot markers.  {!Codec} rejects them where traces
+    enter, so no caller passes one. *)
 
 type t
 

@@ -171,6 +171,7 @@ let iter_text t f =
         | Event.Alloc { id; size; cpu } ->
           if size <= 0 then bad "alloc size <= 0";
           if cpu < 0 then bad "negative cpu";
+          if Codec.reserved_id id then bad "id %d is reserved" id;
           if Hashtbl.mem live id then bad "id %d already live" id;
           Hashtbl.replace live id ()
         | Event.Free { id; cpu } ->

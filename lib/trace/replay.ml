@@ -14,28 +14,31 @@ type result = {
 }
 
 (* Replay a recorded event stream against a fresh allocator, fed from a streaming
-   reader: memory is the live-object address map plus one block. *)
+   reader: memory is the live-object id maps plus one block.  The maps are
+   two [Int_table]s (id -> address, id -> size), so a live object costs no
+   table cell; addresses are non-negative, so -1 marks an unknown id. *)
 let run_events ?(config = Wsc_tcmalloc.Config.baseline)
     ?(topology = Wsc_hw.Topology.default) iter =
   let clock = Clock.create () in
   let backend = Backend.create ~config ~topology ~clock () in
   let num_cpus = Wsc_hw.Topology.num_cpus topology in
-  let addr_of_id = Hashtbl.create 4096 in
+  let addr_of_id = Int_table.create ~initial_capacity:4096 () in
+  let size_of_id = Int_table.create ~initial_capacity:4096 () in
   let peak = ref 0 in
   let allocations = ref 0 and frees = ref 0 and retires = ref 0 in
   iter (fun ev ->
       match ev with
       | Event.Alloc { id; size; cpu } ->
         let addr = Backend.malloc backend ~cpu:(cpu mod num_cpus) ~size in
-        Hashtbl.replace addr_of_id id (addr, size);
+        Int_table.set addr_of_id id addr;
+        Int_table.set size_of_id id size;
         incr allocations
       | Event.Free { id; cpu } ->
-        let addr, size =
-          match Hashtbl.find_opt addr_of_id id with
-          | Some entry -> entry
-          | None -> invalid_arg "Wsc_trace.Replay: free of unknown id"
-        in
-        Hashtbl.remove addr_of_id id;
+        let addr = Int_table.find addr_of_id id ~default:(-1) in
+        if addr < 0 then invalid_arg "Wsc_trace.Replay: free of unknown id";
+        let size = Int_table.find size_of_id id ~default:0 in
+        Int_table.remove addr_of_id id;
+        Int_table.remove size_of_id id;
         Backend.free backend ~cpu:(cpu mod num_cpus) addr ~size;
         incr frees
       | Event.Advance { dt_ns } ->

@@ -1,8 +1,10 @@
 (** Streaming trace replay.
 
     Feeds a trace into a fresh allocator event by event, never
-    materializing the stream: memory use is the live-object address map
-    plus one I/O block, so million-event traces replay in constant memory.
+    materializing the stream: memory use is the live-object id maps (two
+    {!Wsc_substrate.Int_table}s, id -> address and id -> size, with no
+    cell per object) plus one I/O block, so million-event traces replay in
+    memory bounded by the live set.
 
     Replaying one trace under several configurations isolates the
     allocator's contribution exactly — every arm sees the identical

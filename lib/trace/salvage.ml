@@ -134,7 +134,12 @@ let scan_binary ~on_event path data ~header_damage =
   let file_len = Bytes.length data in
   let ctx = Codec.context () in
   let max_id = ref (-1) in
+  (* Fresh ids count up from the largest id delivered.  Past [max_int] they
+     would wrap to the reserved [min_int] (Codec.reserved_id) and then to
+     ids already issued, so a trace that used [max_int] has none left: the
+     remapped alloc's block is then dropped as untrustworthy. *)
   let fresh_id () =
+    if !max_id = max_int then raise (Codec.Malformed "no unused object id left to remap to");
     incr max_id;
     !max_id
   in
@@ -184,8 +189,8 @@ let scan_binary ~on_event path data ~header_damage =
            ~d_events:(Some 0)
      with Codec.Malformed _ ->
        (* A CRC-valid payload our own writer cannot produce (a CRC
-          collision on garbage): the remainder is untrustworthy, and so is
-          the header's count. *)
+          collision on garbage), or a remap with no fresh id left: the
+          remainder is untrustworthy, and so is the header's count. *)
        add_damage ~d_start:!pos ~d_end:limit ~d_blocks:None ~d_events:None);
     incr blocks
   in

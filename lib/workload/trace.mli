@@ -11,7 +11,11 @@
 
 type event =
   | Alloc of { id : int; size : int; cpu : int }
-      (** Allocate [size] bytes on [cpu]; later events refer to [id]. *)
+      (** Allocate [size] bytes on [cpu]; later events refer to [id].  An
+          id is any int above [min_int + 1]: the trace codec keys its
+          allocation-free id tables by id and reserves the two smallest
+          ints ({!Wsc_trace.Codec.reserved_id}), so every trace entry
+          point (writer, binary and text readers) rejects them. *)
   | Free of { id : int; cpu : int }  (** Free a previously allocated object. *)
   | Advance of { dt_ns : float }  (** Advance simulated time. *)
   | Retire of { cpu : int; flush : bool }

@@ -249,6 +249,79 @@ let filler_matches_reference =
         ops;
       !ok)
 
+(* The region against its scanning reference (region_reference.ml): the
+   same random sequence of allocations (1 page, small runs, runs that
+   straddle hugepages, whole hugepages plus a tail, the whole region, and
+   oversize or empty requests), frees of live runs (some freeing their
+   region's last run, so it is unmapped) and bad frees (an immediate double
+   free, a run past its region's end, an address in no region) must return
+   the same addresses, raise the same errors and leave the same region
+   count, page counts and per-hugepage occupancy after every operation. *)
+let region_matches_reference =
+  let module R = Region_reference in
+  let module H = Hugepage_region in
+  let module Vm = Wsc_os.Vm in
+  let pages_per_hugepage = Units.pages_per_hugepage in
+  QCheck.Test.make ~name:"region_matches_scanning_reference" ~count:150
+    QCheck.(
+      pair (int_range 0 3)
+        (list_of_size (Gen.int_range 20 400) (pair (int_range 0 99) (int_range 0 9999))))
+    (fun (extra_hugepages, ops) ->
+      let hugepages_per_region = 1 + extra_hugepages in
+      let total = hugepages_per_region * pages_per_hugepage in
+      let h = H.create (Vm.create ()) ~hugepages_per_region
+      and r = R.create (Vm.create ()) ~hugepages_per_region in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let live = ref [] in
+      let free a ~pages =
+        let o = run (fun () -> H.free h a ~pages) in
+        expect (o = run (fun () -> R.free r a ~pages));
+        o
+      in
+      let occupancy iter =
+        let l = ref [] in
+        iter (fun ~base ~used_pages -> l := (base, used_pages) :: !l);
+        !l
+      in
+      List.iter
+        (fun (op, p) ->
+          (if op < 55 then begin
+             let q = p / 6 in
+             let pages =
+               match p mod 6 with
+               | 0 -> 1
+               | 1 -> 1 + (q mod 16)
+               | 2 -> pages_per_hugepage - 40 + (q mod 80)
+               | 3 -> (((q mod hugepages_per_region) + 1) * pages_per_hugepage) - 8 + (q mod 16)
+               | 4 -> total - (q mod 3)
+               | _ -> if q mod 4 = 0 then 0 else total + 1 + (q mod 300)
+             in
+             let a = run (fun () -> H.allocate h ~pages) in
+             expect (a = run (fun () -> R.allocate r ~pages));
+             match a with Ok a -> live := (a, pages) :: !live | Error _ -> ()
+           end
+           else if op < 90 then begin
+             match !live with
+             | [] -> ()
+             | l ->
+               let a, pages = List.nth l (p mod List.length l) in
+               live := List.filter (fun (b, _) -> b <> a) l;
+               expect (free a ~pages = Ok ());
+               if p mod 5 = 0 then expect (free a ~pages <> Ok ())
+           end
+           else
+             match !live with
+             | (a, _) :: _ when p mod 2 = 0 -> expect (free a ~pages:(total + 1) <> Ok ())
+             | _ -> expect (free (-1) ~pages:1 <> Ok ()));
+          expect (H.regions h = R.regions r);
+          expect (H.used_pages h = R.used_pages r);
+          expect (H.free_pages h = R.free_pages r);
+          expect (occupancy (H.iter_hugepages h) = occupancy (R.iter_hugepages r)))
+        ops;
+      !ok)
+
 (* Lazy span carving against the eager slot stack it replaced: every slot
    index pushed up front, highest first, so pops run from the span base up
    and returned slots come back most recent first.  The model also keeps
@@ -390,6 +463,7 @@ let suite =
         qcheck cfl_conservation;
         qcheck filler_accounting;
         qcheck filler_matches_reference;
+        qcheck region_matches_reference;
         qcheck span_matches_eager_model;
         qcheck no_overlapping_objects;
       ] );

@@ -14,6 +14,11 @@ module Profile = Wsc_workload.Profile
 module Driver = Wsc_workload.Driver
 module Backend = Wsc_backend.Backend
 module Rseq = Wsc_os.Rseq
+module Config = Wsc_tcmalloc.Config
+module Malloc = Wsc_tcmalloc.Malloc
+module Writer = Wsc_trace.Writer
+module Recorder = Wsc_trace.Recorder
+module Replay = Wsc_trace.Replay
 
 let check_string = Alcotest.(check string)
 let hex_digest (s : Machine.summary) = Digest.to_hex s.Machine.sm_digest
@@ -113,6 +118,58 @@ let test_rseq_fallback_heavy () =
   check_string "rseq fallback-heavy digest" "4d0a1eccc268e0b8d8df2935d0c74f94"
     (rseq_machine_digest ~preempt_prob:0.2 ~max_restarts:1)
 
+(* A region-heavy trace: 5 s of spanner on seed 1, whose 2.1 MiB-class
+   allocations go to the hugepage region (Sec. 4.4), recorded, then
+   replayed under the four arms of perfbench's trace workload.  One digest
+   pins the encoded bytes (codec and live index); the other pins each
+   arm's counts, peak RSS, final heap_stats and modelled allocator time,
+   the fields perfbench's results line prints. *)
+let test_spanner_trace () =
+  let path = Filename.temp_file "wsc_refcheck" ".wtrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore
+        (Writer.with_file path (fun writer ->
+             Recorder.record_app ~seed:1 ~duration_ns:(5.0 *. Units.sec) ~writer Apps.spanner));
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let arms =
+        [
+          ("tcmalloc-baseline", Config.baseline);
+          ("tcmalloc-all", Config.all_optimizations);
+          ("rpmalloc", Config.with_backend Backend.Rpmalloc Config.baseline);
+          ("jemalloc", Config.with_backend Backend.Jemalloc Config.baseline);
+        ]
+      in
+      let heap (h : Malloc.heap_stats) =
+        String.concat " "
+          (List.map string_of_int
+             [
+               h.Malloc.live_requested_bytes;
+               h.Malloc.live_rounded_bytes;
+               h.Malloc.front_end_cached_bytes;
+               h.Malloc.transfer_cached_bytes;
+               h.Malloc.cfl_fragmented_bytes;
+               h.Malloc.pageheap_fragmented_bytes;
+               h.Malloc.internal_fragmentation_bytes;
+               h.Malloc.external_fragmentation_bytes;
+               h.Malloc.resident_bytes;
+             ])
+      in
+      let line =
+        String.concat ";"
+          (List.map
+             (fun (name, (r : Replay.result)) ->
+               Printf.sprintf "%s allocs=%d frees=%d retires=%d peak=%d heap=%s malloc_ns=%h" name
+                 r.Replay.allocations r.Replay.frees r.Replay.retires r.Replay.peak_rss_bytes
+                 (heap r.Replay.final_stats) r.Replay.malloc_ns)
+             (Replay.run_configs ~jobs:1 ~configs:arms path))
+      in
+      check_string "spanner trace bytes" "af70021fee8eab0ff2b07b25cba2064e"
+        (Digest.to_hex (Digest.string bytes));
+      check_string "four-arm replay" "6611c8a6d05e950be6aac34b95892dc1"
+        (Digest.to_hex (Digest.string line)))
+
 let suite =
   [
     ( "refcheck",
@@ -122,5 +179,6 @@ let suite =
         Alcotest.test_case "dist stream digest" `Quick test_dist_stream;
         Alcotest.test_case "rseq mild machine digest" `Quick test_rseq_mild;
         Alcotest.test_case "rseq fallback-heavy digest" `Quick test_rseq_fallback_heavy;
+        Alcotest.test_case "spanner trace and four-arm replay" `Quick test_spanner_trace;
       ] );
   ]

@@ -46,30 +46,69 @@ let test_crc32_vector () =
 (* {1 Live_index} *)
 
 (* Encoder and decoder indexes stay in lockstep: ranks produced by one are
-   resolved to the same ids by the other, under random alloc/free mixes. *)
+   resolved to the same ids by the other, under random alloc/free mixes.
+   Ids are sparse, non-monotone and partly negative (a freed id may come
+   back), and runs of up to 5,000 alloc-heavy ops cross the 1,024-slot
+   array's in-place compactions and its growths.  A list model, most
+   recent first, gives each free's rank as the id's position in it; after
+   every op both indexes' [length], and [mem] of the op's id and of a live
+   id, agree with the model, and re-appending a live id is refused. *)
 let test_live_index_lockstep =
   qcheck
     (QCheck.Test.make ~name:"live_index_rank_select_lockstep" ~count:100
-       QCheck.(list_of_size (QCheck.Gen.int_range 1 400) (QCheck.int_range 0 99))
+       (* Shrink by dropping ops only: shrinking each of thousands of ops
+          as well takes minutes on a failure. *)
+       QCheck.(
+         set_shrink Shrink.list_spine
+           (list_of_size (Gen.int_range 1 5000)
+              (pair (int_range 0 99) (int_range (-1_000_000) 1_000_000))))
        (fun ops ->
          let enc = Live_index.create () and dec = Live_index.create () in
-         let live = ref [] and next = ref 0 in
+         let live = ref [] and n_live = ref 0 in
+         let agrees id =
+           let m = List.mem id !live in
+           Live_index.mem enc id = m && Live_index.mem dec id = m
+         in
+         let refused id =
+           List.for_all
+             (fun t ->
+               match Live_index.append t id with
+               | () -> false
+               | exception Invalid_argument _ -> true)
+             [ enc; dec ]
+         in
+         let rec position id i = function
+           | x :: rest -> if x = id then i else position id (i + 1) rest
+           | [] -> -1
+         in
+         let pick x = List.nth !live ((x land max_int) mod !n_live) in
          List.for_all
-           (fun op ->
-             if op < 55 || !live = [] then begin
-               let id = !next in
-               incr next;
-               Live_index.append enc id;
-               Live_index.append dec id;
-               live := id :: !live;
-               true
-             end
-             else begin
-               let id = List.nth !live (op mod List.length !live) in
-               live := List.filter (fun x -> x <> id) !live;
-               let rank = Live_index.remove_rank enc id in
-               rank >= 0 && Live_index.remove_select dec rank = id
-             end)
+           (fun (op, x) ->
+             let id = x * 1_000_003 in
+             let step_ok =
+               if op < 60 || !live = [] then
+                 if List.mem id !live then refused id
+                 else begin
+                   Live_index.append enc id;
+                   Live_index.append dec id;
+                   live := id :: !live;
+                   incr n_live;
+                   true
+                 end
+               else begin
+                 let id = pick x in
+                 let expected = position id 0 !live in
+                 live := List.filter (( <> ) id) !live;
+                 decr n_live;
+                 let rank = Live_index.remove_rank enc id in
+                 rank = expected && Live_index.remove_select dec rank = id
+               end
+             in
+             step_ok
+             && Live_index.length enc = !n_live
+             && Live_index.length dec = !n_live
+             && agrees id
+             && (!live = [] || agrees (pick (x / 7))))
            ops))
 
 let test_live_index_compaction () =
@@ -189,7 +228,22 @@ let test_writer_rejects_invalid () =
             (try
                Writer.add w (Trace.Free { id = 99; cpu = 0 });
                false
-             with Invalid_argument _ -> true)))
+             with Invalid_argument _ -> true);
+          List.iter
+            (fun id ->
+              Alcotest.(check string)
+                "reserved id rejected"
+                (Printf.sprintf "Wsc_trace: encode: id %d is reserved" id)
+                (try
+                   Writer.add w (Trace.Alloc { id; size = 8; cpu = 0 });
+                   "accepted"
+                 with Invalid_argument msg -> msg);
+              check_bool "free of a reserved id rejected" true
+                (try
+                   Writer.add w (Trace.Free { id; cpu = 0 });
+                   false
+                 with Invalid_argument _ -> true))
+            [ min_int; min_int + 1 ]))
 
 (* {1 Corruption detection} *)
 
@@ -357,7 +411,99 @@ let test_text_errors_name_line () =
            ignore (Reader.verify path);
            false
          with Invalid_argument msg ->
-           msg = "Wsc_trace.Reader: line 3: free of unknown id 2"))
+           msg = "Wsc_trace.Reader: line 3: free of unknown id 2");
+      List.iter
+        (fun id ->
+          write_file path (Printf.sprintf "a 1 100 0\na %d 64 0\nf %d 0\n" id id);
+          Alcotest.(check string)
+            "reserved id names its line"
+            (Printf.sprintf "Wsc_trace.Reader: line 2: id %d is reserved" id)
+            (try
+               ignore (Reader.verify path);
+               "accepted"
+             with Invalid_argument msg -> msg))
+        [ min_int; min_int + 1 ])
+
+(* Binary traces built by hand, for what the writer refuses to write
+   (reserved ids, damaged blocks).  Each block is its events' payload and
+   whether its checksum is stomped; blocks are framed as the writer frames
+   them and the end-of-stream marker follows.  Allocations are 64 bytes on
+   cpu 0, with explicit ids delta-coded against the previous allocation's
+   id, starting from the codec's initial -1. *)
+let hand_built_trace blocks =
+  let b = Buffer.create 64 in
+  Buffer.add_bytes b (Codec.header ());
+  List.iter
+    (fun (events, stomped) ->
+      let payload = Buffer.create 32 and count = ref 0 in
+      List.iter
+        (fun ev ->
+          incr count;
+          match ev with
+          | `Alloc (id, prev) ->
+            Buffer.add_char payload '\001' (* tag 1: explicit id, cpu 0 *);
+            Codec.put_uvarint payload (Codec.zigzag (id - prev - 1));
+            Codec.put_uvarint payload 64
+          | `Next_alloc ->
+            Buffer.add_char payload '\000' (* tag 0: previous id + 1, cpu 0 *);
+            Codec.put_uvarint payload 64
+          | `Free rank ->
+            Buffer.add_char payload '\002' (* tag 2: free, cpu 0 *);
+            Codec.put_uvarint payload rank)
+        events;
+      let payload = Buffer.contents payload in
+      Codec.put_uvarint b (String.length payload);
+      Codec.put_uvarint b !count;
+      let crc = Crc32.string payload lxor if stomped then 1 else 0 in
+      for i = 0 to 3 do
+        Buffer.add_char b (Char.chr ((crc lsr (8 * i)) land 0xff))
+      done;
+      Buffer.add_string b payload)
+    blocks;
+  Buffer.add_string b "\000\000\000\000\000\000";
+  Buffer.contents b
+
+(* The binary reader refuses an allocation that decodes to a reserved id
+   with [Corrupt], naming the block; salvage remaps it like any negative
+   id, so the damaged trace still replays.  Salvage never issues a reserved
+   id itself: after a skipped block, an alloc that decodes past [max_int]
+   needs a fresh id above [max_int], and there is none, so its block is
+   dropped as damage instead of wrapping to [min_int]. *)
+let test_binary_reserved_ids () =
+  let alloc_free id = hand_built_trace [ ([ `Alloc (id, -1); `Free 0 ], false) ] in
+  with_temp (fun path ->
+      write_file path (alloc_free 5);
+      check_bool "hand-built fixture reads" true
+        (read_events path
+        = [ Trace.Alloc { id = 5; size = 64; cpu = 0 }; Trace.Free { id = 5; cpu = 0 } ]);
+      List.iter
+        (fun id ->
+          write_file path (alloc_free id);
+          (match Reader.with_file path (fun r -> Reader.iter r ignore) with
+          | () -> Alcotest.fail "reserved id accepted"
+          | exception Reader.Corrupt { block; reason } ->
+            check_int "error names the block" 0 block;
+            Alcotest.(check string)
+              "reason" (Printf.sprintf "alloc of reserved id %d" id) reason);
+          let rep = Salvage.scan path in
+          check_int "salvage remaps the reserved id" 1 rep.Salvage.remapped_allocs;
+          check_int "salvaged replay frees it" 1 (fst (Replay.run_salvage path)).Replay.frees)
+        [ min_int; min_int + 1 ];
+      write_file path
+        (hand_built_trace
+           [
+             ([ `Alloc (max_int, -1) ], false);
+             ([ `Free 0; `Alloc (7, max_int) ], true);
+             ([ `Next_alloc ], false);
+           ]);
+      let ids = ref [] in
+      let rep =
+        Salvage.scan
+          ~on_event:(function Trace.Alloc { id; _ } -> ids := id :: !ids | _ -> ())
+          path
+      in
+      Alcotest.(check (list int)) "only the max_int alloc survives" [ max_int ] !ids;
+      check_bool "the loss is reported" false (Salvage.clean rep))
 
 (* {1 Streaming scale} *)
 
@@ -481,6 +627,7 @@ let suite =
         Alcotest.test_case "future version rejected" `Quick test_unsupported_version_rejected;
         test_text_convert_equivalence;
         Alcotest.test_case "text error lines" `Quick test_text_errors_name_line;
+        Alcotest.test_case "binary reserved ids" `Quick test_binary_reserved_ids;
       ] );
     ( "trace_stream_replay",
       [
