@@ -487,7 +487,7 @@ let fig13 () =
     Wsc_tcmalloc.Central_free_list.create ~config:Config.baseline ~span_stats:stats
       pageheap
   in
-  let cls = Option.get (Size_class.of_size 16) in
+  let cls = Size_class.index_of_size 16 in
   let rng = Rng.create 42 in
   (* Long-lived objects arrive in temporal bursts (initialization of a data
      structure pins a couple of spans), not iid across every span. *)
@@ -790,71 +790,50 @@ let rseq_bench () =
         [ "churn"; "front-end hit rate"; "restarts"; "fallbacks"; "restart overhead";
           "stranded reclaim" ]
   in
-  let results =
-    List.map
-      (fun (name, churn_period, preempt_prob) ->
-        let faults =
-          Option.map
-            (fun period ->
-              { Wsc_os.Fault.no_faults with Wsc_os.Fault.seed = 42;
-                cpu_churn_period_ns = period })
-            churn_period
-        in
-        let rseq =
-          { Wsc_os.Rseq.seed = 42; preempt_prob;
-            max_restarts = Config.baseline.Config.rseq_max_restarts }
-        in
-        let machine =
-          Machine.create ~seed:42 ?faults ~rseq ~platform:Topology.default
-            ~jobs:[ Apps.search_middle_tier ] ()
-        in
-        Machine.run machine ~duration_ns:(sec 30.0) ~epoch_ns:Units.ms;
-        let job = List.hd (Machine.jobs machine) in
-        let tel = Backend.telemetry job.Machine.backend in
-        let hits = Telemetry.hits tel Cost_model.Per_cpu_cache in
-        let total =
-          List.fold_left (fun a tier -> a + Telemetry.hits tel tier) 0 Cost_model.all_tiers
-        in
-        let hit_rate = float_of_int hits /. float_of_int (max 1 total) in
-        let restarts = Telemetry.rseq_restarts tel in
-        let overhead_ns =
-          float_of_int restarts *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache
-        in
-        let stranded = Telemetry.stranded_reclaim_bytes tel in
-        Table.add_row t
-          [
-            name;
-            pct (100.0 *. hit_rate);
-            string_of_int restarts;
-            string_of_int (Telemetry.rseq_fallbacks tel);
-            Printf.sprintf "%.1f us" (overhead_ns /. 1e3);
-            Table.cell_bytes stranded;
-          ];
-        (name, preempt_prob, churn_period, hit_rate, restarts,
-         Telemetry.rseq_fallbacks tel, overhead_ns, stranded))
-      arms
-  in
+  List.iter
+    (fun (name, churn_period, preempt_prob) ->
+      let faults =
+        Option.map
+          (fun period ->
+            { Wsc_os.Fault.no_faults with Wsc_os.Fault.seed = 42;
+              cpu_churn_period_ns = period })
+          churn_period
+      in
+      let rseq =
+        { Wsc_os.Rseq.seed = 42; preempt_prob;
+          max_restarts = Config.baseline.Config.rseq_max_restarts }
+      in
+      let machine =
+        Machine.create ~seed:42 ?faults ~rseq ~platform:Topology.default
+          ~jobs:[ Apps.search_middle_tier ] ()
+      in
+      Machine.run machine ~duration_ns:(sec 30.0) ~epoch_ns:Units.ms;
+      let job = List.hd (Machine.jobs machine) in
+      let tel = Backend.telemetry job.Machine.backend in
+      let hits = Telemetry.hits tel Cost_model.Per_cpu_cache in
+      let total =
+        List.fold_left (fun a tier -> a + Telemetry.hits tel tier) 0 Cost_model.all_tiers
+      in
+      let hit_rate = float_of_int hits /. float_of_int (max 1 total) in
+      let restarts = Telemetry.rseq_restarts tel in
+      let overhead_ns =
+        float_of_int restarts *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache
+      in
+      let stranded = Telemetry.stranded_reclaim_bytes tel in
+      Table.add_row t
+        [
+          name;
+          pct (100.0 *. hit_rate);
+          string_of_int restarts;
+          string_of_int (Telemetry.rseq_fallbacks tel);
+          Printf.sprintf "%.1f us" (overhead_ns /. 1e3);
+          Table.cell_bytes stranded;
+        ])
+    arms;
   Table.print t;
   note "restart overhead charges one extra fast-path run (%.1f ns, Fig. 4) per restart;"
     (Cost_model.tier_hit_ns Cost_model.Per_cpu_cache);
-  note "churn also converts stranded front-end bytes into transfer-cache reclaim.";
-  (* Machine-readable trajectory point for longitudinal tracking. *)
-  let oc = open_out "BENCH_rseq.json" in
-  Printf.fprintf oc "{\n  \"benchmark\": \"rseq\",\n  \"arms\": [\n";
-  List.iteri
-    (fun i (name, preempt, churn, hit_rate, restarts, fallbacks, overhead_ns, stranded) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"preempt_prob\": %g, \"churn_period_s\": %s, \
-         \"front_end_hit_rate\": %.6f, \"restarts\": %d, \"fallbacks\": %d, \
-         \"restart_overhead_ns\": %.1f, \"stranded_reclaim_bytes\": %d}%s\n"
-        name preempt
-        (match churn with None -> "null" | Some p -> Printf.sprintf "%g" (p /. Units.sec))
-        hit_rate restarts fallbacks overhead_ns stranded
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  note "wrote BENCH_rseq.json"
+  note "churn also converts stranded front-end bytes into transfer-cache reclaim."
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the simulator's hot paths.              *)

@@ -6,8 +6,6 @@ module Telemetry = Wsc_tcmalloc.Telemetry
 type kind = Config.backend_kind = Tcmalloc | Rpmalloc | Jemalloc
 
 let kind_name = Config.backend_name
-let kind_of_name = Config.backend_of_name
-let all_kinds = Config.all_backends
 
 type t =
   | Tc of Malloc.t
@@ -38,20 +36,17 @@ let tc_exn = function
       (Printf.sprintf "Backend.tc_exn: tcmalloc-only introspection on a %s backend"
          (kind_name (kind t)))
 
-let malloc_th t ~thread ~cpu ~size =
+let malloc ?thread t ~cpu ~size =
   match t with
-  | Tc m -> Malloc.malloc_th m ~thread ~cpu ~size
-  | Rp m -> Rpmalloc_model.malloc_th m ~thread ~cpu ~size
-  | Je m -> Jemalloc_model.malloc_th m ~thread ~cpu ~size
+  | Tc m -> Malloc.malloc ?thread m ~cpu ~size
+  | Rp m -> Rpmalloc_model.malloc m ~cpu ~size
+  | Je m -> Jemalloc_model.malloc m ~cpu ~size
 
-let free_th t ~thread ~cpu addr ~size =
+let free ?thread t ~cpu addr ~size =
   match t with
-  | Tc m -> Malloc.free_th m ~thread ~cpu addr ~size
-  | Rp m -> Rpmalloc_model.free_th m ~thread ~cpu addr ~size
-  | Je m -> Jemalloc_model.free_th m ~thread ~cpu addr ~size
-
-let malloc ?(thread = -1) t ~cpu ~size = malloc_th t ~thread ~cpu ~size
-let free ?(thread = -1) t ~cpu addr ~size = free_th t ~thread ~cpu addr ~size
+  | Tc m -> Malloc.free ?thread m ~cpu addr ~size
+  | Rp m -> Rpmalloc_model.free m ~cpu addr ~size
+  | Je m -> Jemalloc_model.free m ~cpu addr ~size
 
 let cpu_idle ?(flush = false) t ~cpu =
   match t with

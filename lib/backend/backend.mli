@@ -20,14 +20,15 @@
       ([resident = live_rounded + the four tiers]) is checked by {!audit};
     - a self-audit returning the shared {!Wsc_tcmalloc.Audit.report};
     - full determinism: no wall clock, no unseeded randomness, so any
-      [--jobs N] fleet run is bit-identical to [--jobs 1].
+      [--jobs N] fleet run is bit-identical to [--jobs 1] (the
+      [fleet_<backend>_jobs4_eq_jobs1] properties in test/test_backend.ml).
 
     To add a backend: write a model exposing the surface consumed here
     (see [Rpmalloc_model] for the shape), add a constructor to {!t} and a
     {!Wsc_tcmalloc.Config.backend_kind} case, and extend every dispatch
     below — the compiler's exhaustiveness check walks you through the
     rest.  Then add it to {!Config.all_backends} so the qcheck
-    conformance suite and the arena cover it. *)
+    conformance suite (test/conformance.ml) and the arena cover it. *)
 
 module Config = Wsc_tcmalloc.Config
 module Malloc = Wsc_tcmalloc.Malloc
@@ -35,8 +36,6 @@ module Malloc = Wsc_tcmalloc.Malloc
 type kind = Config.backend_kind = Tcmalloc | Rpmalloc | Jemalloc
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
-val all_kinds : kind list
 
 type t =
   | Tc of Malloc.t
@@ -72,11 +71,10 @@ val tc_exn : t -> Malloc.t
 
 val malloc : ?thread:int -> t -> cpu:int -> size:int -> int
 val free : ?thread:int -> t -> cpu:int -> int -> size:int -> unit
-
-val malloc_th : t -> thread:int -> cpu:int -> size:int -> int
-val free_th : t -> thread:int -> cpu:int -> int -> size:int -> unit
-(** Int-sentinel twins ([thread = -1] = no thread id) for per-event hot
-    paths; rival backends ignore the thread id (no per-thread mode). *)
+(** The one malloc/free form.  [thread] reaches {!Malloc.malloc} and
+    {!Malloc.free} unchanged; rival backends have no per-thread mode and
+    ignore it.  Passing a prebuilt [Some id] with [?thread:] allocates
+    nothing per call. *)
 
 val release_memory : t -> target_bytes:int -> Malloc.reclaim_outcome
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit

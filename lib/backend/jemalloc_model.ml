@@ -533,11 +533,11 @@ let rec malloc_retry t ~cpu ~size ~attempts =
       malloc_retry t ~cpu ~size ~attempts:(attempts + 1)
     end
 
-let malloc_th t ~thread:_ ~cpu ~size =
+let malloc t ~cpu ~size =
   if size <= 0 then invalid_arg "Jemalloc_model.malloc: size must be positive";
   malloc_retry t ~cpu ~size ~attempts:0
 
-let free_th t ~thread:_ ~cpu addr ~size =
+let free t ~cpu addr ~size =
   if size <= 0 then invalid_arg "Jemalloc_model.free: size must be positive";
   if size <= small_max then begin
     let vcpu = Vcpu.acquire t.vcpus ~phys_cpu:cpu in

@@ -1,6 +1,6 @@
 (** jemalloc-style allocator model (see the .ml header for the design and
     its deliberate simplifications).  Consumed via {!Backend}; the direct
-    API exists for the conformance suite and unit tests. *)
+    API exists for the unit tests. *)
 
 type addr = int
 type t
@@ -20,8 +20,8 @@ val create :
   unit ->
   t
 
-val malloc_th : t -> thread:int -> cpu:int -> size:int -> addr
-val free_th : t -> thread:int -> cpu:int -> addr -> size:int -> unit
+val malloc : t -> cpu:int -> size:int -> addr
+val free : t -> cpu:int -> addr -> size:int -> unit
 val release_memory : t -> target_bytes:int -> Wsc_tcmalloc.Malloc.reclaim_outcome
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 

@@ -519,11 +519,11 @@ let rec malloc_retry t ~cpu ~size ~attempts =
       malloc_retry t ~cpu ~size ~attempts:(attempts + 1)
     end
 
-let malloc_th t ~thread:_ ~cpu ~size =
+let malloc t ~cpu ~size =
   if size <= 0 then invalid_arg "Rpmalloc_model.malloc: size must be positive";
   malloc_retry t ~cpu ~size ~attempts:0
 
-let free_th t ~thread:_ ~cpu addr ~size =
+let free t ~cpu addr ~size =
   if size <= 0 then invalid_arg "Rpmalloc_model.free: size must be positive";
   if size <= medium_max then begin
     let base = addr land lnot (span_size - 1) in

@@ -1,12 +1,10 @@
 (** rpmalloc-style allocator model (see the .ml header for the design and
     its deliberate simplifications).  Consumed via {!Backend}; the direct
-    API exists for the conformance suite and unit tests. *)
+    API exists for the unit tests. *)
 
 type addr = int
 type t
 
-val span_size : int
-val chunk_bytes : int
 val small_max : int
 val medium_max : int
 val class_count : int
@@ -20,8 +18,8 @@ val create :
   unit ->
   t
 
-val malloc_th : t -> thread:int -> cpu:int -> size:int -> addr
-val free_th : t -> thread:int -> cpu:int -> addr -> size:int -> unit
+val malloc : t -> cpu:int -> size:int -> addr
+val free : t -> cpu:int -> addr -> size:int -> unit
 val release_memory : t -> target_bytes:int -> Wsc_tcmalloc.Malloc.reclaim_outcome
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 

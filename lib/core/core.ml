@@ -21,7 +21,6 @@ module Hw = Wsc_hw
 module Os = Wsc_os
 module Tcmalloc = Wsc_tcmalloc
 module Backend = Wsc_backend.Backend
-module Backend_conformance = Wsc_backend.Conformance
 module Workload = Wsc_workload
 module Fleet_sim = Wsc_fleet
 module Trace_stream = Wsc_trace

@@ -48,7 +48,8 @@ val run_app :
     methodology).  Runs [replicas] (default 3) seed-varied pairs and
     averages, standing in for the fleet's noise suppression.  The
     [2 * replicas] arm machines run on up to [jobs] domains; pairing is by
-    task index, so the outcome is bit-identical for any job count. *)
+    task index, so the outcome is bit-identical for any job count ([A/B
+    4-domain determinism] in test/test_parallel.ml). *)
 
 type fleet_outcome = {
   fleet : outcome;  (** CPU-weighted aggregate, app name ["fleet"]. *)

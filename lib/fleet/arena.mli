@@ -18,7 +18,6 @@
 type scenario = Zoo | Flood | Churn | Pressure
 
 val scenario_name : scenario -> string
-val all_scenarios : scenario list
 
 type cell = {
   cell_backend : Wsc_tcmalloc.Config.backend_kind;
@@ -45,7 +44,7 @@ val run_cell :
 
 val run :
   ?backends:Wsc_tcmalloc.Config.backend_kind list -> ?seed:int -> unit -> report
-(** Runs {!all_scenarios} for each backend (default
+(** Runs every scenario for each backend (default
     {!Wsc_tcmalloc.Config.all_backends}). *)
 
 val to_json : report -> string

@@ -18,7 +18,10 @@
     killed-and-resumed campaign produces aggregates {e bit-identical} to a
     1-domain fault-free run of the same spec (provided no machine is
     quarantined — quarantined machines are excluded from the aggregate and
-    reported as lost coverage instead).
+    reported as lost coverage instead).  Tested by
+    [chaos_killed_resumed_campaign_matches_fault_free] in
+    test/test_campaign.ml, and through {!Wsc_persist}'s shard files by
+    [durable kill and resume].
 
     Memory stays O(shard): at most one shard of machine summaries is alive
     at a time, and no per-machine result list is ever built. *)
@@ -79,9 +82,10 @@ type aggregate = {
 }
 
 val render_aggregate : aggregate -> string
-(** Deterministic textual form (floats printed with full precision):
-    bit-identical aggregates render byte-identically, so CI can [diff] a
-    resumed chaos campaign against an uninterrupted reference. *)
+(** Deterministic textual form (floats printed with full precision), so
+    equal aggregates render to equal strings: the campaign tests compare
+    these strings, and CI [diff]s a resumed chaos campaign against an
+    uninterrupted reference. *)
 
 (** {2 Outcomes} *)
 

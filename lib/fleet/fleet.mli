@@ -49,9 +49,11 @@ val platform_mix : float array
     drawing machine platforms (newer generations dominate). *)
 
 val checkpoint : t -> string
-(** Serialize every machine plus the binary population into one blob;
-    {!resume} + {!run} is bit-identical to an uninterrupted run for any
-    [?jobs] level (machines are independent tasks).  Same-binary only —
+(** Serialize every machine plus the binary population into one blob.
+    Each machine resumes as {!Machine.resume} does ([machine bit-identity]
+    in test/test_persist.ml), and {!resume} + {!run} gives the same
+    summaries at any [?jobs] level, machines being independent tasks
+    ([restore jobs invariant] in test/test_fleet.ml).  Same-binary only —
     see {!Wsc_persist} for the durable container. *)
 
 val resume : string -> t

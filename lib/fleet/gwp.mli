@@ -10,9 +10,6 @@
     Application CPU time is reconstructed from the productivity model:
     [requests x instructions_per_request x baseline CPI / frequency]. *)
 
-val job_cpu_ns : Machine.job -> float
-(** Modeled total CPU time the job consumed, in ns. *)
-
 val malloc_cycle_fraction : Machine.job -> float
 (** Fraction of the job's CPU spent in the allocator (Fig. 5a). *)
 

@@ -69,7 +69,7 @@ type job_summary = {
   js_live_objects : int;
   js_heap : Wsc_tcmalloc.Malloc.heap_stats;
   js_malloc_ns : float;  (** Measured allocator ns since the last reset. *)
-  js_cpu_ns : float;  (** Modeled request CPU ({!Gwp.job_cpu_ns} formula). *)
+  js_cpu_ns : float;  (** Modeled request CPU ({!Gwp}'s formula). *)
   js_allocated_bytes : float;
   js_avg_rss_bytes : float;
   js_hugepage_coverage : float;
@@ -103,7 +103,7 @@ val checkpoint : t -> string
 (** Serialize the whole machine — every job's driver, allocator, OS
     state, the shared clock and its background tickers — into one blob
     such that [resume] + continue is bit-identical to an uninterrupted
-    run.  Driver probes are omitted (they may capture channels).  The
+    run ([machine bit-identity] in test/test_persist.ml).  Driver probes are omitted (they may capture channels).  The
     blob is [Marshal]-based and same-binary only; {!Wsc_persist} wraps it
     in a versioned, checksummed container for on-disk use. *)
 

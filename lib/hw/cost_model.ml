@@ -1,6 +1,6 @@
 let per_cpu_cache_ns = 3.1
-let transfer_cache_ns = 25.0
-let central_free_list_ns = 81.3
+let transfer_cache_ns = 25.0 (* mutex-protected flat-array batch move *)
+let central_free_list_ns = 81.3 (* mutex + linked-list span extraction *)
 let pageheap_ns = 137.0
 let mmap_ns = 12916.7
 let prefetch_ns = 0.9

@@ -13,12 +13,6 @@
 val per_cpu_cache_ns : float
 (** 3.1 ns — the rseq fast path (~40 hand-coded x86 instructions). *)
 
-val transfer_cache_ns : float
-(** 25.0 ns — mutex-protected flat-array batch move. *)
-
-val central_free_list_ns : float
-(** 81.3 ns — mutex + linked-list span extraction. *)
-
 val pageheap_ns : float
 (** 137.0 ns — hugepage-aware span carving. *)
 

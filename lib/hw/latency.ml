@@ -21,6 +21,3 @@ let transfer_ns = function
   | Intra_domain -> intra_domain_ns
   | Inter_domain -> inter_domain_ns
   | Inter_socket -> inter_socket_ns
-
-let transfer_between topology ~src_cpu ~dst_cpu =
-  transfer_ns (classify topology ~src_cpu ~dst_cpu)

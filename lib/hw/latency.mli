@@ -20,9 +20,6 @@ val transfer_ns : locality -> float
     [Same_core] 0, [Intra_domain] 40.0, [Inter_domain] 82.8 (2.07x),
     [Inter_socket] 135.0. *)
 
-val transfer_between : Topology.t -> src_cpu:int -> dst_cpu:int -> float
-(** [transfer_ns (classify ...)]. *)
-
 val intra_domain_ns : float
 val inter_domain_ns : float
 val inter_socket_ns : float

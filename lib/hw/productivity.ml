@@ -28,6 +28,9 @@ let throughput_per_core topology params ~mpki ~walk_fraction =
   let hz = topology.Topology.frequency_ghz *. 1e9 in
   hz /. (params.instructions_per_request *. cpi params ~mpki ~walk_fraction)
 
+(* Fraction of a CPI improvement that shows up as application throughput
+   (WSC services are not purely CPU-bound; the paper's Tables 1/2 show
+   throughput gains of roughly a third to a half of the CPI gains). *)
 let throughput_sensitivity = 0.5
 
 let throughput_change_pct topology params ~mpki_before ~walk_before ~mpki_after ~walk_after =

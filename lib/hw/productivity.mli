@@ -48,11 +48,6 @@ val baseline_cpi : params -> float
 val throughput_per_core : Topology.t -> params -> mpki:float -> walk_fraction:float -> float
 (** Requests per second per core. *)
 
-val throughput_sensitivity : float
-(** Fraction of a CPI improvement that shows up as application throughput
-    (WSC services are not purely CPU-bound; the paper's Tables 1/2 show
-    throughput gains of roughly a third to a half of the CPI gains). *)
-
 val throughput_change_pct :
   Topology.t ->
   params ->

@@ -208,14 +208,6 @@ let validate_storage c =
   check "truncate_rate" c.truncate_rate;
   check "rename_failure_rate" c.rename_failure_rate
 
-let describe_storage c =
-  if not (storage_active c) then "no storage faults"
-  else
-    Printf.sprintf
-      "flip %.2g/byte, torn %.2g/write, truncate %.2g/close, rename-fail %.2g (seed %d)"
-      c.flip_rate c.torn_write_rate c.truncate_rate c.rename_failure_rate
-      c.storage_seed
-
 (* Like the chaos schedule, every storage decision is a pure function of its
    coordinates — (seed, file name, op_index) — so re-running the same write
    sequence reproduces the identical damage, byte for byte, regardless of
@@ -288,5 +280,4 @@ let install t ~vm =
     Vm.set_pressure_hook vm (Some (fun () -> pressure_bytes t))
 
 let injected_failures t = t.injected
-let churn_bursts t = t.churn_bursts
 let config t = t.config

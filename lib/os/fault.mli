@@ -61,16 +61,13 @@ val pressure_bytes : t -> int
 
 val churn_due : t -> now:float -> bool
 (** Whether a churn burst fired since the last call; consumes it and
-    schedules the next. *)
+    schedules the next.  Consumers must treat each burst as a migration:
+    retire every active vCPU {e and} flush the retired caches (or register
+    them for stranded-cache reclaim) — a burst that only drops the ids
+    silently orphans their cache contents. *)
 
 val injected_failures : t -> int
 (** Transient failures injected so far. *)
-
-val churn_bursts : t -> int
-(** Churn bursts consumed so far via {!churn_due}.  Consumers must treat
-    each burst as a migration: retire every active vCPU {e and} flush the
-    retired caches (or register them for stranded-cache reclaim) — a burst
-    that only drops the ids silently orphans their cache contents. *)
 
 val config : t -> config
 
@@ -83,7 +80,9 @@ val config : t -> config
     function of (seed, machine index, attempt), so a retried or resumed
     machine replays the identical failure history regardless of domain
     count or execution order — the property {!Wsc_fleet.Campaign}'s
-    bit-identical aggregation rests on. *)
+    resume guarantee rests on
+    ([chaos_killed_resumed_campaign_matches_fault_free] in
+    test/test_campaign.ml). *)
 
 type chaos = {
   chaos_seed : int;  (** Root seed of the schedule. *)
@@ -153,8 +152,6 @@ val storage_active : storage -> bool
 
 val validate_storage : storage -> unit
 (** @raise Invalid_argument unless every rate is in [0, 1]. *)
-
-val describe_storage : storage -> string
 
 type write_damage = {
   torn_at : int option;

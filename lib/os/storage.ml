@@ -31,8 +31,6 @@ let active t = Fault.storage_active t.faults
 let flips t = t.flips
 let torn_writes t = t.torn_writes
 let truncations t = t.truncations
-let truncated_bytes t = t.truncated_bytes
-let rename_failures t = t.rename_failures
 
 let next_op t path =
   let n = try Hashtbl.find t.ops path with Not_found -> 0 in

@@ -3,7 +3,8 @@
     {!Wsc_trace.Writer} and [Wsc_persist.Persist] write their bytes through
     this layer instead of a bare [out_channel].  A shim built with
     {!Fault.no_storage_faults} (the default) is transparent — files come
-    out bit-identical to direct channel IO — while one built with an active
+    out byte-identical to direct channel IO ([inactive shim transparent]
+    in test/test_salvage.ml checks a trace file) — while one built with an active
     {!Fault.storage} config injects the deterministic damage schedule
     (bit flips, torn writes, truncations, rename failures) at the exact
     byte offsets drawn for [(seed, file name, op_index)], so every
@@ -71,5 +72,3 @@ val flips : t -> int
 
 val torn_writes : t -> int
 val truncations : t -> int
-val truncated_bytes : t -> int
-val rename_failures : t -> int

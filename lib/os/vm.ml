@@ -11,10 +11,6 @@ type mmap_failure = Transient_fault | Hard_limit_exceeded
 
 exception Mmap_failed of mmap_failure
 
-let failure_name = function
-  | Transient_fault -> "transient-fault"
-  | Hard_limit_exceeded -> "hard-limit"
-
 type t = {
   mutable next_addr : addr;
   hugepages : (addr, hugepage_state) Hashtbl.t;  (* keyed by hugepage base *)
@@ -73,7 +69,6 @@ let set_hard_limit t limit =
   | _ -> ());
   t.hard_limit <- limit
 
-let soft_limit t = t.soft_limit
 let hard_limit t = t.hard_limit
 let set_fault_hook t hook = t.fault_hook <- hook
 let set_pressure_hook t hook = t.pressure_hook <- hook

@@ -21,8 +21,6 @@ type mmap_failure =
 
 exception Mmap_failed of mmap_failure
 
-val failure_name : mmap_failure -> string
-
 type t
 
 val create : unit -> t
@@ -45,7 +43,6 @@ val set_hard_limit : t -> int option -> unit
 (** Enforced limit: an {!mmap} that would leave resident bytes (plus
     external pressure) above it raises [Mmap_failed Hard_limit_exceeded]. *)
 
-val soft_limit : t -> int option
 val hard_limit : t -> int option
 
 val soft_limit_excess : t -> int
@@ -106,9 +103,6 @@ val mmap_calls : t -> int
 val munmap_calls : t -> int
 val subrelease_calls : t -> int
 val reclaim_calls : t -> int
-
-val hugepage_base : addr -> addr
-(** Round an address down to its containing hugepage boundary. *)
 
 val iter_hugepages : t -> (base:addr -> huge:bool -> subreleased_pages:int -> unit) -> unit
 (** Visit every mapped hugepage (order unspecified); used by the heap

@@ -1,5 +1,7 @@
 (** Durable warm-state snapshots: checkpoint a simulation to disk and
-    resume it bit-identically later (same binary).
+    resume it later (same binary) as if it had never stopped ([file
+    round-trip + info] and [driver file round-trip] in
+    test/test_persist.ml compare against uninterrupted runs).
 
     The paper's span telemetry spans two weeks of production time; every
     experiment in this reproduction previously had to start from a cold
@@ -36,8 +38,9 @@
     only damage to the un-duplicated state payload — or to both copies —
     raises {!Corrupt}.  {!audit} reports per-section integrity without
     deserializing anything, {!repair} rebuilds a pristine container from
-    every recoverable section (bit-identical when all three payloads are
-    recovered), and {!scrub_campaign_dir} applies the same treatment to a
+    every recoverable section (the original bytes when all three payloads
+    are recovered: [damaged manifest repairs bit-identical] in
+    test/test_salvage.ml), and {!scrub_campaign_dir} applies the same treatment to a
     whole campaign resume directory, quarantining what cannot be saved. *)
 
 exception Corrupt of { section : string; reason : string }
@@ -80,8 +83,9 @@ val load_driver : path:string -> Wsc_workload.Driver.t
 val save_fleet :
   ?storage:Wsc_os.Storage.t -> ?note:string -> Wsc_fleet.Fleet.t ->
   path:string -> unit
-(** Snapshot a whole fleet; {!load_fleet} + [Fleet.run] is bit-identical
-    for any [?jobs] parallelism, machines being independent tasks. *)
+(** Snapshot a whole fleet; {!load_fleet} + [Fleet.run] gives the same
+    summaries for any [?jobs] parallelism, machines being independent
+    tasks ([restore jobs invariant] in test/test_fleet.ml). *)
 
 val load_fleet : path:string -> Wsc_fleet.Fleet.t
 
@@ -248,5 +252,6 @@ val run_machine :
     runs bit-identical to uninterrupted ones: the epoch sequence is a
     function of the clock position and [until_ns] alone, so resuming at
     an epoch boundary reproduces the same [dt] sequence the
-    uninterrupted run saw.  Without [checkpoint_path] no snapshot is
+    uninterrupted run saw ([run_machine epoch sequence] in
+    test/test_persist.ml).  Without [checkpoint_path] no snapshot is
     written. *)

@@ -9,8 +9,9 @@
    32-slot window, anchored at the current drain position, reaches the
    event's bucket.  Advancing the drain position cascades coarse buckets
    into finer wheels, so every event is touched O(levels) times total and
-   push/pop are O(1) amortized — against O(log n) sift cost in
-   {!Event_heap} (the differential-testing reference for this module).
+   push/pop are O(1) amortized — against the O(log n) sift cost of the
+   binary heap it replaced, kept as test/event_heap_reference.ml, the
+   differential-testing reference for this module.
 
    Bucket width: the driver drains once per 1 ms epoch, so a level-0
    bucket is about one epoch wide (2^20 ns).  An epoch drain then touches
@@ -89,7 +90,7 @@ let new_bucket () =
     sorted = 0;
   }
 
-let create ?initial_capacity:_ () =
+let create () =
   {
     buckets = Array.init (levels * slots) (fun _ -> new_bucket ());
     cur = 0;
@@ -101,7 +102,6 @@ let create ?initial_capacity:_ () =
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let bucket_grow b =
   let cap = Array.length b.keys in
@@ -386,17 +386,3 @@ let drain_payloads t bound f =
     done;
     if t.len = 0 && target + 1 > t.cur then t.cur <- target + 1
   end
-
-let clear t =
-  Array.iter (fun bk -> bucket_release bk) t.buckets;
-  t.cur <- 0;
-  t.len <- 0;
-  t.next_seq <- 0
-
-let iter t f =
-  Array.iter
-    (fun bk ->
-      for i = 0 to bk.blen - 1 do
-        f ~key:bk.keys.(i) ~a:bk.ea.(i) ~b:bk.eb.(i) ~c:bk.ec.(i)
-      done)
-    t.buckets

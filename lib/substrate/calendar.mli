@@ -1,7 +1,8 @@
 (** Hierarchical timing-wheel event queue ("calendar queue") with float
     nanosecond keys bucketed on integer ticks: O(1) amortized push and pop
-    against the O(log n) sifts of {!Event_heap}, which remains the
-    differential-testing reference for this module.
+    against the O(log n) sifts of the binary heap it replaced, which
+    test/event_heap_reference.ml keeps as the differential-testing
+    reference for this module.
 
     Keys must be finite and non-negative.  The top wheel spans past any
     representable tick, so far-future sentinels (e.g. 1e18 ns) need no
@@ -21,12 +22,10 @@ val bucket_width_ns : int
 (** Width of a level-0 bucket (2^20 ns).  Delivery order does not depend
     on it; drain cost does. *)
 
-val create : ?initial_capacity:int -> unit -> t
-(** [initial_capacity] is accepted for {!Event_heap} interface parity and
-    ignored; buckets size themselves on demand. *)
+val create : unit -> t
+(** Buckets size themselves on demand. *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val push : t -> float -> a:int -> b:int -> c:int -> unit
 (** Insert an event with three unboxed int payload slots.
@@ -39,8 +38,3 @@ val drain_payloads : t -> float -> (a:int -> b:int -> c:int -> unit) -> unit
 (** {!drain_until} without the key in the callback.  Passing a float to a
     non-inlined closure boxes it, so key-oblivious consumers (the workload
     driver's free events) save two minor words per event here. *)
-
-val clear : t -> unit
-
-val iter : t -> (key:float -> a:int -> b:int -> c:int -> unit) -> unit
-(** Visit pending events in unspecified order. *)

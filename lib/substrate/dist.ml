@@ -4,7 +4,7 @@
    slice of [0,1), and a short scan (almost always zero or one step)
    finishes the search with the same comparison semantics as before.  This
    keeps every seeded stream bit-identical to the pre-table code, which a
-   true Walker/Vose alias decomposition (see {!Alias}) cannot do. *)
+   true Walker/Vose alias decomposition cannot do. *)
 
 type empirical = {
   qs : float array;       (* quantiles, ascending *)

@@ -25,12 +25,3 @@ let set t i v =
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Fvec.truncate: bad length";
   t.len <- n
-
-let clear t = t.len <- 0
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let to_list t = List.init t.len (fun i -> t.data.(i))

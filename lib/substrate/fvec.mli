@@ -17,7 +17,3 @@ val set : t -> int -> float -> unit
 val truncate : t -> int -> unit
 (** [truncate t n] keeps the first [n] elements (used by series
     downsampling). *)
-
-val clear : t -> unit
-val iter : t -> (float -> unit) -> unit
-val to_list : t -> float list

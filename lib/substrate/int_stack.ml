@@ -45,5 +45,3 @@ let set t i v =
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Int_stack.truncate: bad length";
   t.len <- n
-
-let clear t = t.len <- 0

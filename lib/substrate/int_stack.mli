@@ -31,5 +31,3 @@ val set : t -> int -> int -> unit
 
 val truncate : t -> int -> unit
 (** [truncate t n] keeps the bottom [n] elements (series downsampling). *)
-
-val clear : t -> unit

@@ -134,19 +134,3 @@ let remove t key =
     Array1.unsafe_set t.keys s tombstone;
     t.live <- t.live - 1
   end
-
-let clear t =
-  Array1.fill t.keys empty_key;
-  t.live <- 0;
-  t.fill <- 0
-
-let iter t f =
-  for i = 0 to t.mask do
-    let k = Array1.unsafe_get t.keys i in
-    if k <> empty_key && k <> tombstone then f k (Array1.unsafe_get t.vals i)
-  done
-
-let fold t init f =
-  let acc = ref init in
-  iter t (fun k v -> acc := f !acc k v);
-  !acc

@@ -22,7 +22,3 @@ val set : t -> int -> int -> unit
 
 val remove : t -> int -> unit
 (** No-op when the key is absent. *)
-
-val clear : t -> unit
-val iter : t -> (int -> int -> unit) -> unit
-val fold : t -> 'a -> ('a -> int -> int -> 'a) -> 'a

@@ -119,9 +119,6 @@ let get_pool ~jobs =
     Atomic.set the_pool (Some p);
     p
 
-let pool_size () =
-  match Atomic.get the_pool with None -> 0 | Some p -> p.n_workers
-
 (* Drive one batch: publish [run] over [0, n), participate in claiming, and
    return once the last claimed task has finished. *)
 let run_batch pool ~jobs ~n run =

@@ -6,7 +6,9 @@
     {e reduced in index order}.  This module provides exactly that contract:
     a fixed-size pool of worker domains and a chunked [map] whose output
     array is indexed like its input — a 1-domain run and an N-domain run of
-    the same tasks produce bit-identical results.
+    the same tasks produce bit-identical results
+    ([parallel_map_matches_sequential_for_any_jobs] in
+    test/test_parallel.ml).
 
     {b The ordered-reduction rule} (see DESIGN.md): parallel code in this
     repo must (1) give each task exclusive ownership of all mutable state it
@@ -18,7 +20,7 @@
     CLI flag), the [WSC_DOMAINS] environment variable, and
     [Domain.recommended_domain_count ()].  [jobs = 1] (or singleton inputs)
     bypasses the pool entirely and runs in the calling domain — the
-    bit-exact reference mode.  Nested [map] calls from inside a task
+    reference the parallel tests compare N-domain runs against.  Nested [map] calls from inside a task
     degrade to sequential execution instead of deadlocking. *)
 
 val host_cores : unit -> int
@@ -47,7 +49,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists, preserving order. *)
-
-val pool_size : unit -> int
-(** Number of worker domains currently spawned (0 before first parallel
-    use; excludes the calling domain). *)

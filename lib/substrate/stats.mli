@@ -16,7 +16,6 @@ module Running : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 for fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [nan] when empty. *)
 

@@ -4,7 +4,6 @@ let gib = 1024 * mib
 let tcmalloc_page_size = 8 * kib
 let hugepage_size = 2 * mib
 let pages_per_hugepage = hugepage_size / tcmalloc_page_size
-let ns = 1.0
 let us = 1_000.0
 let ms = 1_000_000.0
 let sec = 1_000_000_000.0

@@ -20,12 +20,6 @@ val hugepage_size : int
 val pages_per_hugepage : int
 (** [hugepage_size / tcmalloc_page_size] = 256. *)
 
-val ns : float
-(** One nanosecond, expressed in nanoseconds (identity; for readability). *)
-
-val us : float
-(** One microsecond in nanoseconds. *)
-
 val ms : float
 (** One millisecond in nanoseconds. *)
 

@@ -1,7 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
-let length t = t.len
 
 let push t v =
   let cap = Array.length t.data in
@@ -12,19 +11,6 @@ let push t v =
   end;
   t.data.(t.len) <- v;
   t.len <- t.len + 1
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get: out of bounds";
-  t.data.(i)
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
 
 let fold t init f =
   let acc = ref init in

@@ -7,13 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val push : 'a t -> 'a -> unit
-val get : 'a t -> int -> 'a
-
-val clear : 'a t -> unit
-(** Drops the backing storage (elements become collectable). *)
-
-val iter : 'a t -> ('a -> unit) -> unit
 val fold : 'a t -> 'b -> ('b -> 'a -> 'b) -> 'b
 val to_list : 'a t -> 'a list

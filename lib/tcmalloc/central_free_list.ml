@@ -176,7 +176,6 @@ let released_span_bytes t = t.released_span_bytes
 let iter_spans t f = Array.iter (fun cs -> Hashtbl.iter (fun _ span -> f span) cs.spans) t.classes
 
 let span_count t ~cls = Hashtbl.length t.classes.(cls).spans
-let total_span_count t = Array.fold_left (fun acc cs -> acc + Hashtbl.length cs.spans) 0 t.classes
 
 let snapshot t ~now =
   match t.span_stats with

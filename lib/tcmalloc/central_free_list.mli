@@ -53,8 +53,6 @@ val iter_spans : t -> (Span.t -> unit) -> unit
 val span_count : t -> cls:int -> int
 (** Spans currently held (listed + exhausted) for a class. *)
 
-val total_span_count : t -> int
-
 val snapshot : t -> now:float -> unit
 (** Record a (span, outstanding) observation for every held span into the
     attached {!Span_stats} collector (no-op without one). *)

@@ -425,12 +425,9 @@ let rec malloc_retry t ~thread ~cpu ~size retries_left =
       raise Stdlib.Out_of_memory
     end
 
-let malloc_th t ~thread ~cpu ~size =
+let malloc ?(thread = -1) t ~cpu ~size =
   if size <= 0 then invalid_arg "Malloc.malloc: size must be positive";
   malloc_retry t ~thread ~cpu ~size t.config.Config.reclaim_retries
-
-let malloc ?thread t ~cpu ~size =
-  malloc_th t ~thread:(match thread with Some th -> th | None -> -1) ~cpu ~size
 
 let free_error ~what ~a ~size ~tier =
   invalid_arg
@@ -509,7 +506,7 @@ let dealloc_miss t ~cpu ~vcpu ~cls a =
   in
   send_to_transfer t ~cls ~domain ~now ~hi:(1 + flushed)
 
-let free_th t ~thread ~cpu a ~size =
+let free ?(thread = -1) t ~cpu a ~size =
   if size <= 0 then invalid_arg "Malloc.free: size must be positive";
   let cls = Size_class.index_of_size size in
   if cls < 0 then free_large t a ~size
@@ -541,9 +538,6 @@ let free_th t ~thread ~cpu a ~size =
       end
       else if not fo.fo_res_ok then dealloc_miss t ~cpu ~vcpu:fo.fo_observed ~cls a
   end
-
-let free ?thread t ~cpu a ~size =
-  free_th t ~thread:(match thread with Some th -> th | None -> -1) ~cpu a ~size
 
 let rseq t = t.rseq
 
@@ -644,7 +638,6 @@ let sampler t = t.sampler
 let config t = t.config
 let topology t = t.topology
 let clock t = t.clock
-let snapshot_spans t = Central_free_list.snapshot t.cfl ~now:(Clock.now t.clock)
 
 (* Warm-state snapshot: one [Marshal] blob of the whole allocator graph.
    [Marshal.Closures] carries the background tickers registered on the

@@ -42,7 +42,10 @@ val malloc : ?thread:int -> t -> cpu:int -> size:int -> addr
     [thread] identifies the calling software thread; it is only consulted
     by the legacy {!Config.Per_thread_caches} front-end, which indexes its
     caches by thread instead of vCPU (and without it falls back to vCPU
-    indexing).
+    indexing).  This is the only malloc entry point.  A per-event caller
+    that has thread ids keeps one [Some id] per thread, built when the
+    thread gets its identity, and passes it with [?thread:], so no call
+    allocates.
 
     When the simulated VM refuses backing memory (injected transient fault
     or hard memory limit), the allocator runs the {!release_memory} reclaim
@@ -51,6 +54,7 @@ val malloc : ?thread:int -> t -> cpu:int -> size:int -> addr
 
 val free : ?thread:int -> t -> cpu:int -> addr -> size:int -> unit
 (** Free a block previously returned by {!malloc} with the same [size].
+    [thread] is passed as for {!malloc}.
     @raise Invalid_argument on erroneous frees, with a message naming the
     defect, the address, the size, and the deepest tier consulted:
     wild pointers, size mismatches (wrong class or wrong large page count),
@@ -59,12 +63,6 @@ val free : ?thread:int -> t -> cpu:int -> addr -> size:int -> unit
     are read from the object's {!Span.slot_state}: [malloc] marks the
     object it returns held, and [free] accepts only a held object and
     marks it cached. *)
-
-val malloc_th : t -> thread:int -> cpu:int -> size:int -> addr
-val free_th : t -> thread:int -> cpu:int -> addr -> size:int -> unit
-(** Int-sentinel twins of {!malloc}/{!free} ([thread = -1] means "no thread
-    id") for per-event hot paths: no [Some] box per call.  Semantics are
-    otherwise identical. *)
 
 (** {2 Memory pressure} *)
 
@@ -152,9 +150,6 @@ val config : t -> Config.t
 val topology : t -> Wsc_hw.Topology.t
 val clock : t -> Wsc_substrate.Clock.t
 
-val snapshot_spans : t -> unit
-(** Manually record one span-occupancy observation pass. *)
-
 (** {2 Warm-state snapshot} *)
 
 val snapshot : t -> string
@@ -163,9 +158,12 @@ val snapshot : t -> string
     telemetry, the OS layer underneath ({!Wsc_os.Vm}, {!Wsc_os.Vcpu},
     {!Wsc_os.Rseq}), the shared clock with all registered background
     tickers, and every RNG cursor — into one binary blob.  Restoring
-    ({!restore}) resumes the allocator bit-identically: continuing a
-    restored instance produces exactly the same stats and telemetry as
-    never having snapshotted.  The blob uses [Marshal] with closures and
+    ({!restore}) gives back an allocator with the same {!heap_stats} that
+    keeps serving frees ([tc_snapshot_roundtrip] in test/test_backend.ml).
+    That a restored allocator continues exactly as if never snapshotted
+    is checked one level up, where driver and machine checkpoints marshal
+    it the same way ([driver bit-identity] and [machine bit-identity] in
+    test/test_persist.ml).  The blob uses [Marshal] with closures and
     is therefore only readable by the same binary that wrote it; the
     {!Wsc_persist} library wraps it in a checked, versioned container. *)
 

@@ -114,11 +114,6 @@ let[@inline] lookup t addr =
       let v = Bigarray.Array1.unsafe_get leaf (page land leaf_mask) in
       if v = 0 then None else Array.unsafe_get t.slots (v - 1)
 
-let lookup_exn t addr =
-  match lookup t addr with
-  | Some span -> span
-  | None -> invalid_arg "Page_map.lookup_exn: address not in any span"
-
 let span_count t = t.spans
 
 let iter_spans t f =

@@ -20,10 +20,6 @@ val unregister : t -> Span.t -> unit
 val lookup : t -> int -> Span.t option
 (** Span owning the page that contains the given address. *)
 
-val lookup_exn : t -> int -> Span.t
-(** @raise Invalid_argument when the address belongs to no span (wild or
-    already-unmapped free). *)
-
 val span_count : t -> int
 (** Number of distinct registered spans. *)
 

@@ -58,7 +58,6 @@ let on_free t a ~now =
     Int_table.remove t.tracked_set a;
     Some (size, now -. born)
 
-let sampled_count t = t.sampled
 let live_tracked t = Hashtbl.length t.tracked
 let live_heap_estimate_bytes t = Hashtbl.length t.tracked * t.period
 

@@ -34,7 +34,6 @@ val on_free : t -> addr -> now:float -> (int * float) option
 (** If the freed address was sampled, stop tracking it and return
     [(size, lifetime_ns)]. *)
 
-val sampled_count : t -> int
 val live_tracked : t -> int
 
 (** {2 Heap profiling}

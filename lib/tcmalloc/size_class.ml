@@ -83,20 +83,12 @@ let lookup =
   done;
   table
 
-let of_size n =
-  if n <= 0 then invalid_arg "Size_class.of_size: nonpositive size";
-  if n > max_size then None
-  else begin
-    let slot = (n + 7) / 8 in
-    let cls = lookup.(slot) in
-    if cls < 0 then None else Some cls
-  end
-
-(* Allocation-free twin of [of_size] for the per-event hot paths: -1 means
-   "large" (pageheap-direct), no [Some] box per lookup. *)
+(* -1 means "large" (pageheap-direct): no [Some] box per lookup on the
+   per-event hot paths. *)
 let index_of_size n =
   if n <= 0 then invalid_arg "Size_class.index_of_size: nonpositive size";
   if n > max_size then -1 else lookup.((n + 7) / 8)
 
 let internal_slack ~requested =
-  match of_size requested with None -> 0 | Some cls -> size cls - requested
+  let cls = index_of_size requested in
+  if cls < 0 then 0 else size cls - requested

@@ -29,15 +29,11 @@ val capacity : int -> int
 val batch : int -> int
 val pages : int -> int
 
-val of_size : int -> int option
-(** [of_size n] is the smallest class whose size is [>= n], or [None] when
-    [n] exceeds the largest class (the request then bypasses the cache
-    hierarchy and goes to the pageheap).  [n] must be positive.  O(1) via a
-    lookup table. *)
-
 val index_of_size : int -> int
-(** Allocation-free twin of {!of_size}: the class index, or [-1] when the
-    request is pageheap-direct.  [n] must be positive. *)
+(** [index_of_size n] is the smallest class whose size is [>= n], or [-1]
+    when [n] exceeds the largest class (the request then bypasses the cache
+    hierarchy and goes to the pageheap).  [n] must be positive.  O(1) via a
+    lookup table, and allocation-free. *)
 
 val max_size : int
 (** Size of the largest class: 256 KiB. *)

@@ -82,8 +82,6 @@ let[@inline] charge_sampled t ns = t.aux_ns.(aux_sampled) <- t.aux_ns.(aux_sampl
 let[@inline] charge_other t ns = t.aux_ns.(aux_other) <- t.aux_ns.(aux_other) +. ns
 let tier_ns t tier = t.tier_ns.(tier_slot tier)
 let prefetch_ns t = t.aux_ns.(aux_prefetch)
-let sampled_ns t = t.aux_ns.(aux_sampled)
-let other_ns t = t.aux_ns.(aux_other)
 
 let total_malloc_ns t =
   Array.fold_left ( +. ) 0.0 t.tier_ns +. Array.fold_left ( +. ) 0.0 t.aux_ns
@@ -96,16 +94,6 @@ let tier_ns_since_mark t tier = t.tier_ns.(tier_slot tier) -. t.mark_tier_ns.(ti
 let prefetch_ns_since_mark t = t.aux_ns.(aux_prefetch) -. t.mark_aux_ns.(aux_prefetch)
 let sampled_ns_since_mark t = t.aux_ns.(aux_sampled) -. t.mark_aux_ns.(aux_sampled)
 let other_ns_since_mark t = t.aux_ns.(aux_other) -. t.mark_aux_ns.(aux_other)
-
-let total_malloc_ns_since_mark t =
-  let tiers = ref 0.0 in
-  for i = 0 to 4 do
-    tiers := !tiers +. t.tier_ns.(i) -. t.mark_tier_ns.(i)
-  done;
-  for i = 0 to 2 do
-    tiers := !tiers +. t.aux_ns.(i) -. t.mark_aux_ns.(i)
-  done;
-  !tiers
 
 let record_alloc t ~requested ~rounded =
   t.allocs <- t.allocs + 1;
@@ -180,9 +168,6 @@ let record_object_reuse t ~remote =
   if remote then t.remote_reuses <- t.remote_reuses + 1
   else t.local_reuses <- t.local_reuses + 1
 
-let remote_reuses t = t.remote_reuses
-let local_reuses t = t.local_reuses
-
 type reclaim_tier = Front_end | Transfer | Cfl_spans | Os_release
 
 let reclaim_slot = function
@@ -207,7 +192,6 @@ let record_reclaim_event t = t.reclaim_events <- t.reclaim_events + 1
 let record_reclaim_retry t = t.reclaim_retries <- t.reclaim_retries + 1
 let record_oom t = t.oom_events <- t.oom_events + 1
 let reclaimed_bytes t tier = t.reclaim_bytes.(reclaim_slot tier)
-let total_reclaimed_bytes t = Array.fold_left ( + ) 0 t.reclaim_bytes
 let reclaim_events t = t.reclaim_events
 let reclaim_retries t = t.reclaim_retries
 let oom_events t = t.oom_events

@@ -22,8 +22,6 @@ val charge_other : t -> float -> unit
 
 val tier_ns : t -> Wsc_hw.Cost_model.tier -> float
 val prefetch_ns : t -> float
-val sampled_ns : t -> float
-val other_ns : t -> float
 
 val total_malloc_ns : t -> float
 (** Sum of all charged allocator time. *)
@@ -39,7 +37,6 @@ val tier_ns_since_mark : t -> Wsc_hw.Cost_model.tier -> float
 val prefetch_ns_since_mark : t -> float
 val sampled_ns_since_mark : t -> float
 val other_ns_since_mark : t -> float
-val total_malloc_ns_since_mark : t -> float
 
 (** {2 Allocation stream} *)
 
@@ -97,9 +94,6 @@ val record_object_reuse : t -> remote:bool -> unit
 (** An allocation was satisfied with an object freed on another LLC domain
     ([remote = true]) or the local one. *)
 
-val remote_reuses : t -> int
-val local_reuses : t -> int
-
 val remote_reuse_fraction : t -> float
 (** [remote / (remote + local)]; 0 when no reuse occurred. *)
 
@@ -127,7 +121,6 @@ val record_oom : t -> unit
 (** The retry budget ran out and [Out_of_memory] surfaced. *)
 
 val reclaimed_bytes : t -> reclaim_tier -> int
-val total_reclaimed_bytes : t -> int
 val reclaim_events : t -> int
 val reclaim_retries : t -> int
 val oom_events : t -> int

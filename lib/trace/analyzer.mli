@@ -37,9 +37,6 @@ type report = {
       (** [(time_ns, live_bytes)] at bounded, evenly spaced points. *)
 }
 
-val cross_cpu_fraction : report -> float
-val alloc_rate_per_sec : report -> float
-
 val scan : ?curve_cap:int -> Reader.t -> report
 (** Stream the reader (consuming it) into a report.  [curve_cap] bounds
     the live-curve sample count (default 512; [0] keeps every epoch). *)

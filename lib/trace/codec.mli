@@ -49,7 +49,6 @@ val put_uvarint : Buffer.t -> int -> unit
 val get_uvarint : bytes -> limit:int -> int ref -> int
 
 val zigzag : int -> int
-val unzigzag : int -> int
 (** Bijective on the full 63-bit int range, including overflow cases. *)
 
 (** {1 Event codec} *)

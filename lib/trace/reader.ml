@@ -22,8 +22,6 @@ type t = {
 }
 
 let format t = t.format
-let events_read t = t.events_read
-let blocks_read t = t.blocks_read
 
 let input_byte_opt ic = try Some (input_byte ic) with End_of_file -> None
 
@@ -152,38 +150,51 @@ let iter_binary t f =
 (* semantically validated (live-id discipline, positive sizes) streamed. *)
 (* ------------------------------------------------------------------ *)
 
+exception Bad_text_line of string
+
+let bad fmt = Printf.ksprintf (fun s -> raise (Bad_text_line s)) fmt
+
+let check_text_line live line =
+  let line = String.trim line in
+  if line = "" || line.[0] = '#' then None
+  else begin
+    let ev = Event.parse_line ~fail:(fun () -> bad "parse error") line in
+    (match ev with
+    | Event.Alloc { id; size; cpu } ->
+      if size <= 0 then bad "alloc size <= 0";
+      if cpu < 0 then bad "negative cpu";
+      if Codec.reserved_id id then bad "id %d is reserved" id;
+      if Hashtbl.mem live id then bad "id %d already live" id;
+      Hashtbl.replace live id ()
+    | Event.Free { id; cpu } ->
+      if cpu < 0 then bad "negative cpu";
+      if not (Hashtbl.mem live id) then bad "free of unknown id %d" id;
+      Hashtbl.remove live id
+    | Event.Advance { dt_ns } ->
+      if dt_ns < 0.0 || Float.is_nan dt_ns then bad "negative dt"
+    | Event.Retire { cpu; flush = _ } -> if cpu < 0 then bad "negative cpu");
+    Some ev
+  end
+
+let text_event live line =
+  match check_text_line live line with
+  | ev -> Ok ev
+  | exception Bad_text_line reason -> Error reason
+
 let iter_text t f =
   let live = Hashtbl.create 1024 in
   let line_no = ref 0 in
-  let bad fmt =
-    Printf.ksprintf
-      (fun s -> invalid_arg (Printf.sprintf "Wsc_trace.Reader: line %d: %s" !line_no s))
-      fmt
-  in
   try
     while true do
       let line = input_line t.ic in
       incr line_no;
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then begin
-        let ev = Event.parse_line ~fail:(fun () -> bad "parse error") line in
-        (match ev with
-        | Event.Alloc { id; size; cpu } ->
-          if size <= 0 then bad "alloc size <= 0";
-          if cpu < 0 then bad "negative cpu";
-          if Codec.reserved_id id then bad "id %d is reserved" id;
-          if Hashtbl.mem live id then bad "id %d already live" id;
-          Hashtbl.replace live id ()
-        | Event.Free { id; cpu } ->
-          if cpu < 0 then bad "negative cpu";
-          if not (Hashtbl.mem live id) then bad "free of unknown id %d" id;
-          Hashtbl.remove live id
-        | Event.Advance { dt_ns } ->
-          if dt_ns < 0.0 || Float.is_nan dt_ns then bad "negative dt"
-        | Event.Retire { cpu; flush = _ } -> if cpu < 0 then bad "negative cpu");
+      match text_event live line with
+      | Ok None -> ()
+      | Ok (Some ev) ->
         t.events_read <- t.events_read + 1;
         f ev
-      end
+      | Error reason ->
+        invalid_arg (Printf.sprintf "Wsc_trace.Reader: line %d: %s" !line_no reason)
     done
   with End_of_file -> ()
 

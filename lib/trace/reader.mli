@@ -45,9 +45,18 @@ val copy_into : t -> Writer.t -> int
 (** Stream this reader into a binary writer (format conversion / re-encode);
     returns the number of events copied.  The caller closes the writer. *)
 
-val events_read : t -> int
-val blocks_read : t -> int
-(** Events / binary blocks delivered so far (useful after [iter]). *)
+(** {1 Text v1 lines} *)
+
+val text_event :
+  (int, unit) Hashtbl.t -> string -> (Event.event option, string) result
+(** The one check of a text v1 line, shared by {!iter} and {!Salvage}:
+    [Ok None] for a blank or [#] comment line, [Ok (Some ev)] for a valid
+    event, with the set of live ids updated.  A line that does not parse,
+    has a non-positive size, a negative cpu or dt, a reserved id
+    ({!Codec.reserved_id}), a live id reallocated or an unknown id freed
+    gives [Error reason] and leaves the set unchanged.  {!iter} raises
+    [Invalid_argument] with the line number and the reason; salvage drops
+    the line and counts it. *)
 
 (** {1 Verification} *)
 

@@ -15,7 +15,6 @@ type t = {
 
 let create writer =
   { writer; id_of_addr = Int_table.create ~initial_capacity:4096 (); next_id = 0 }
-let events_recorded t = Writer.events_written t.writer
 
 (* Addresses are reused by the allocator; ordinals are not, which is what
    makes the trace replayable against any allocator configuration.  An

@@ -24,8 +24,6 @@ val create : Writer.t -> t
 val probe : t -> Driver.probe
 (** Pass to {!Driver.create}'s [?probe] to capture that driver's stream. *)
 
-val events_recorded : t -> int
-
 val record_app :
   ?seed:int ->
   ?config:Wsc_tcmalloc.Config.t ->

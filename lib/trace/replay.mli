@@ -55,8 +55,9 @@ val run_configs :
   (string * result) list
 (** Replay one trace file under each named configuration, fanned across
     the {!Wsc_substrate.Parallel} domain pool.  Each arm opens the file
-    independently and results preserve input order, so the output is
-    bit-identical whatever [jobs] is. *)
+    independently and results preserve input order, so the output does
+    not depend on [jobs] ([multi-config deterministic] in
+    test/test_trace_stream.ml). *)
 
 val preload : string -> Wsc_workload.Trace.event array
 (** Decode a trace file once into an immutable in-memory event array.
@@ -68,8 +69,9 @@ val run_preloaded :
   ?topology:Wsc_hw.Topology.t ->
   Wsc_workload.Trace.event array ->
   result
-(** Replay a preloaded event array.  Bit-identical to {!run_file} on the
-    file the array was preloaded from. *)
+(** Replay a preloaded event array.  Returns what {!run_file} returns on
+    the file the array was preloaded from ([multi-config deterministic] in
+    test/test_trace_stream.ml). *)
 
 val run_configs_preloaded :
   ?jobs:int ->

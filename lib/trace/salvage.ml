@@ -270,36 +270,19 @@ let scan_binary ~on_event path data ~header_damage =
 
 (* ------------------------------------------------------------------ *)
 (* Text scan: lines are self-synchronizing, so salvage just drops any    *)
-(* line that fails to parse or violates live-id discipline.             *)
+(* line that fails the strict reader's own check (Reader.text_event).   *)
 (* ------------------------------------------------------------------ *)
-
-exception Bad_line
 
 let scan_text ~on_event path data =
   let live = Hashtbl.create 1024 in
   let events = ref 0 and dropped = ref 0 in
   let handle line =
-    let line = String.trim line in
-    if line <> "" && line.[0] <> '#' then begin
-      match
-        let ev = Event.parse_line ~fail:(fun () -> raise Bad_line) line in
-        (match ev with
-        | Event.Alloc { id; size; cpu } ->
-          if size <= 0 || cpu < 0 || Hashtbl.mem live id then raise Bad_line;
-          Hashtbl.replace live id ()
-        | Event.Free { id; cpu } ->
-          if cpu < 0 || not (Hashtbl.mem live id) then raise Bad_line;
-          Hashtbl.remove live id
-        | Event.Advance { dt_ns } ->
-          if dt_ns < 0.0 || Float.is_nan dt_ns then raise Bad_line
-        | Event.Retire { cpu; flush = _ } -> if cpu < 0 then raise Bad_line);
-        ev
-      with
-      | ev ->
-        incr events;
-        on_event ev
-      | exception Bad_line -> incr dropped
-    end
+    match Reader.text_event live line with
+    | Ok None -> ()
+    | Ok (Some ev) ->
+      incr events;
+      on_event ev
+    | Error _ -> incr dropped
   in
   String.split_on_char '\n' (Bytes.to_string data) |> List.iter handle;
   {

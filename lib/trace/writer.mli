@@ -16,12 +16,9 @@ type t
 val to_file : ?storage:Wsc_os.Storage.t -> string -> t
 (** Open a file and write the header.  The file is invalid (truncated)
     until {!close} seals it.  With [storage], every byte goes through the
-    fault-injecting shim — a no-fault shim produces a bit-identical file —
-    so seeded storage chaos (bit flips, torn writes, truncation) lands at
+    fault-injecting shim — a no-fault shim writes the same bytes as none
+    ([inactive shim transparent] in test/test_salvage.ml) — so seeded storage chaos (bit flips, torn writes, truncation) lands at
     reproducible offsets for the salvage layer to chew on. *)
-
-val to_channel : out_channel -> t
-(** Same, over an existing binary channel; {!close} closes the channel. *)
 
 val add : t -> Event.event -> unit
 (** Append one event, flushing a block when it reaches the size/count

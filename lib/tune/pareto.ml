@@ -24,8 +24,6 @@ let create ?(resolution = 16) () =
   if resolution <= 0 then invalid_arg "Pareto.create: resolution must be positive";
   { resolution; buckets = Hashtbl.create 64 }
 
-let resolution t = t.resolution
-
 let order a b =
   let c = compare a.e_rss b.e_rss in
   if c <> 0 then c

@@ -22,8 +22,6 @@ type t
 val create : ?resolution:int -> unit -> t
 (** Default resolution: 16 buckets per objective doubling. *)
 
-val resolution : t -> int
-
 val insert : t -> entry -> unit
 (** @raise Invalid_argument on negative or non-finite objectives. *)
 

@@ -9,9 +9,10 @@
     {!Wsc_substrate.Parallel} pool whose results come back in input
     order, and state advances strictly in that order — so for a fixed
     (spec, trace) the whole trajectory, front included, is bit-identical
-    whatever [jobs] is.  Checkpoints cut at generation boundaries:
-    resuming one replays the identical remaining trajectory, so a killed
-    and resumed search equals an uninterrupted one. *)
+    whatever [jobs] is ([jobs4_equals_jobs1] in test/test_tune.ml).
+    Checkpoints cut at generation boundaries: resuming one replays the
+    identical remaining trajectory, so a killed and resumed search equals
+    an uninterrupted one ([kill_and_resume_equals_uninterrupted]). *)
 
 type strategy =
   | Sweep  (** Pure random search over the active space. *)

@@ -20,7 +20,7 @@ type t = {
   rng : Rng.t;
   (* Pending frees as (free_time, addr, size, thread) in an int-payload
      calendar queue: no per-event record, no per-drain list, O(1) amortized
-     push/pop (Event_heap remains the differential-testing reference). *)
+     push/pop. *)
   pending_frees : Calendar.t;
   mutable active_threads : int;
   (* CPUs the pool currently occupies, ascending in [active_cpus.(0 ..
@@ -31,8 +31,10 @@ type t = {
   mutable cpu_mark : bool array;
   (* Thread slots hold OS thread identities; a slot vacated by a pool
      shrink gets a *fresh* thread id when the pool regrows (thread pools
-     kill and respawn workers), which is what strands per-thread caches. *)
-  mutable thread_ids : int array;
+     kill and respawn workers), which is what strands per-thread caches.
+     Each id is boxed once, when its slot gets it, so passing it to
+     [Backend.malloc ?thread] allocates nothing per event. *)
+  mutable thread_ids : int option array;
   mutable next_thread_id : int;
   mutable requests : float;
   mutable allocs : int;
@@ -82,7 +84,7 @@ let execute_free t ~addr ~size ~thread =
   let cross = Rng.bernoulli t.rng t.profile.Profile.cross_thread_free_fraction in
   let thread = if cross then Rng.int t.rng t.active_threads else thread mod t.active_threads in
   let cpu = Sched.cpu_of_thread t.sched ~thread in
-  Backend.free_th t.backend ~thread:t.thread_ids.(thread) ~cpu addr ~size;
+  Backend.free ?thread:t.thread_ids.(thread) t.backend ~cpu addr ~size;
   match t.probe with Some p -> p.on_free ~addr ~cpu | None -> ()
 
 let job_sched platform ~first_cpu profile =
@@ -112,7 +114,7 @@ let create ?(seed = 1) ?(lifetime_sample_every = 64) ?(series_cap = 0) ?faults ?
       active_cpus = Array.make (max 1 num_cpus) 0;
       n_active_cpus = 0;
       cpu_mark = Array.make (max 1 num_cpus) false;
-      thread_ids = [| 0 |];
+      thread_ids = [| Some 0 |];
       next_thread_id = 1;
       requests = 0.0;
       allocs = 0;
@@ -223,17 +225,17 @@ let update_threads t ~now =
     if n <> t.active_threads || t.n_active_cpus = 0 then begin
       if n > Array.length t.thread_ids then begin
         let old = t.thread_ids in
-        t.thread_ids <- Array.make n 0;
+        t.thread_ids <- Array.make n None;
         Array.blit old 0 t.thread_ids 0 (Array.length old);
         for slot = Array.length old to n - 1 do
-          t.thread_ids.(slot) <- t.next_thread_id;
+          t.thread_ids.(slot) <- Some t.next_thread_id;
           t.next_thread_id <- t.next_thread_id + 1
         done
       end
       else if n > t.active_threads then
         (* Regrown slots within the array get fresh worker identities. *)
         for slot = t.active_threads to n - 1 do
-          t.thread_ids.(slot) <- t.next_thread_id;
+          t.thread_ids.(slot) <- Some t.next_thread_id;
           t.next_thread_id <- t.next_thread_id + 1
         done;
       t.active_threads <- n;
@@ -254,7 +256,7 @@ let allocate_batch t ~now n =
       let thread = Rng.int rng t.active_threads in
       let cpu = Sched.cpu_of_thread t.sched ~thread in
       let size = Profile.sample_size_drifted profile rng ~drift in
-      let addr = Backend.malloc_th backend ~thread:t.thread_ids.(thread) ~cpu ~size in
+      let addr = Backend.malloc ?thread:t.thread_ids.(thread) backend ~cpu ~size in
       let lifetime = Profile.sample_lifetime profile rng ~size in
       record_lifetime_sample t ~size ~lifetime;
       Calendar.push t.pending_frees (now +. lifetime) ~a:addr ~b:size ~c:thread
@@ -264,7 +266,7 @@ let allocate_batch t ~now n =
       let thread = Rng.int rng t.active_threads in
       let cpu = Sched.cpu_of_thread t.sched ~thread in
       let size = Profile.sample_size_drifted profile rng ~drift in
-      let addr = Backend.malloc_th backend ~thread:t.thread_ids.(thread) ~cpu ~size in
+      let addr = Backend.malloc ?thread:t.thread_ids.(thread) backend ~cpu ~size in
       probe.on_alloc ~addr ~size ~cpu;
       let lifetime = Profile.sample_lifetime profile rng ~size in
       record_lifetime_sample t ~size ~lifetime;
@@ -281,7 +283,7 @@ let startup_burst t =
     let thread = Rng.int t.rng t.active_threads in
     let cpu = Sched.cpu_of_thread t.sched ~thread in
     let size = Profile.sample_size t.profile t.rng in
-    let addr = Backend.malloc_th t.backend ~thread:t.thread_ids.(thread) ~cpu ~size in
+    let addr = Backend.malloc ?thread:t.thread_ids.(thread) t.backend ~cpu ~size in
     (match t.probe with Some p -> p.on_alloc ~addr ~size ~cpu | None -> ());
     record_lifetime_sample t ~size ~lifetime:far_future;
     Calendar.push t.pending_frees far_future ~a:addr ~b:size ~c:thread;

@@ -147,7 +147,7 @@ val checkpoint : t -> string
     vCPU occupancy, fault stream, audit history, and the driver's RNG
     cursor — into one [Marshal]-with-closures blob.  Resuming
     ({!resume}) and continuing is bit-identical to never having
-    checkpointed.  A {!probe} is {e not} captured (it may hold an output
+    checkpointed ([driver bit-identity] in test/test_persist.ml).  A {!probe} is {e not} captured (it may hold an output
     channel); the restored driver runs without one.  Same-binary only;
     {!Wsc_persist} adds the durable, checked file container. *)
 

@@ -45,8 +45,9 @@ val size_drift_factor : t -> now:float -> float
     tick and draw with {!sample_size_drifted}. *)
 
 val sample_size_drifted : t -> Wsc_substrate.Rng.t -> drift:float -> int
-(** [sample_size] with a precomputed {!size_drift_factor}; the two paths
-    produce bit-identical draws for the same RNG state. *)
+(** [sample_size] with a precomputed {!size_drift_factor}.  [sample_size]
+    is this call with the factor at [now], so both draw the same size from
+    the same RNG state. *)
 
 val sample_lifetime : t -> Wsc_substrate.Rng.t -> size:int -> float
 (** One lifetime in ns for an object of the given size. *)

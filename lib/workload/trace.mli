@@ -22,8 +22,9 @@ type event =
       (** The process stopped running threads on [cpu]
           ({!Wsc_tcmalloc.Malloc.cpu_idle}); with [flush] the retired
           per-CPU cache drains to the transfer cache immediately.  Recorded
-          driver runs include these so replay reproduces the allocator's
-          cache state bit-exactly. *)
+          driver runs include these, so a replay ends with the recorded
+          run's heap stats ([record/replay bit-identical] in
+          test/test_trace_stream.ml). *)
 
 (** {2 Text v1 line codec}
 

@@ -1,6 +1,6 @@
 (* Backend conformance and rival-model tests.
 
-   The qcheck properties drive [Wsc_backend.Conformance] scripts — random
+   The qcheck properties drive [Conformance] scripts — random
    alloc/free/churn/pressure sequences with invariants checked at every
    [Check] — against all three backends, with and without a hard memory
    limit.  The unit tests pin down the rival models' size-class algebra
@@ -8,7 +8,6 @@
    cross-CPU free draining). *)
 
 module Backend = Wsc_backend.Backend
-module Conformance = Wsc_backend.Conformance
 module Rp = Wsc_backend.Rpmalloc_model
 module Je = Wsc_backend.Jemalloc_model
 module Clock = Wsc_substrate.Clock
@@ -119,12 +118,12 @@ let test_rp_roundtrip () =
   for i = 0 to 999 do
     let size = 16 + (i * 37 mod 4000) in
     let cpu = i mod 8 in
-    let addr = Backend.malloc_th backend ~thread:(-1) ~cpu ~size in
+    let addr = Backend.malloc backend ~cpu ~size in
     live := (addr, size, cpu) :: !live
   done;
   let tel = Backend.telemetry backend in
   check_int "alloc count" 1000 (Telemetry.alloc_count tel);
-  List.iter (fun (addr, size, cpu) -> Backend.free_th backend ~thread:(-1) ~cpu addr ~size)
+  List.iter (fun (addr, size, cpu) -> Backend.free backend ~cpu addr ~size)
     !live;
   check_int "free count" 1000 (Telemetry.free_count tel);
   check_int "live bytes" 0 (Telemetry.live_requested_bytes tel);
@@ -135,16 +134,16 @@ let test_rp_cross_cpu_free () =
   (* Producer on CPU 0, consumer on CPU 5: every free is remote and lands
      on the span's deferred list until CPU 0 allocates again. *)
   let addrs =
-    List.init 256 (fun _ -> Backend.malloc_th backend ~thread:(-1) ~cpu:0 ~size:128)
+    List.init 256 (fun _ -> Backend.malloc backend ~cpu:0 ~size:128)
   in
-  List.iter (fun a -> Backend.free_th backend ~thread:(-1) ~cpu:5 a ~size:128) addrs;
+  List.iter (fun a -> Backend.free backend ~cpu:5 a ~size:128) addrs;
   check_bool "audit clean after remote frees" true
     (Audit.is_clean (Backend.audit backend));
   (* The owner drains its deferred lists on its next allocations. *)
   let again =
-    List.init 256 (fun _ -> Backend.malloc_th backend ~thread:(-1) ~cpu:0 ~size:128)
+    List.init 256 (fun _ -> Backend.malloc backend ~cpu:0 ~size:128)
   in
-  List.iter (fun a -> Backend.free_th backend ~thread:(-1) ~cpu:0 a ~size:128) again;
+  List.iter (fun a -> Backend.free backend ~cpu:0 a ~size:128) again;
   check_bool "audit clean after drain" true (Audit.is_clean (Backend.audit backend));
   check_int "all frees recorded" 512
     (Telemetry.free_count (Backend.telemetry backend))
@@ -154,9 +153,9 @@ let test_rp_release_memory () =
   let addrs =
     List.init 512 (fun i ->
         let size = 64 + (i mod 7) * 512 in
-        (Backend.malloc_th backend ~thread:(-1) ~cpu:(i mod 4) ~size, size, i mod 4))
+        (Backend.malloc backend ~cpu:(i mod 4) ~size, size, i mod 4))
   in
-  List.iter (fun (a, size, cpu) -> Backend.free_th backend ~thread:(-1) ~cpu a ~size) addrs;
+  List.iter (fun (a, size, cpu) -> Backend.free backend ~cpu a ~size) addrs;
   let before = Backend.resident_bytes backend in
   let outcome = Backend.release_memory backend ~target_bytes:before in
   let after = Backend.resident_bytes backend in
@@ -193,9 +192,9 @@ let test_je_arena_binding () =
      the same arena-bound slab. *)
   let addrs =
     List.init 512 (fun i ->
-        (Backend.malloc_th backend ~thread:(-1) ~cpu:(i mod 8) ~size:192, (i + 3) mod 8))
+        (Backend.malloc backend ~cpu:(i mod 8) ~size:192, (i + 3) mod 8))
   in
-  List.iter (fun (a, cpu) -> Backend.free_th backend ~thread:(-1) ~cpu a ~size:192) addrs;
+  List.iter (fun (a, cpu) -> Backend.free backend ~cpu a ~size:192) addrs;
   check_bool "audit clean" true (Audit.is_clean (Backend.audit backend));
   (* Flushing every CPU returns tcache objects to their slabs. *)
   for cpu = 0 to 7 do
@@ -212,9 +211,9 @@ let test_je_extent_coalescing () =
   let addrs =
     List.init 64 (fun i ->
         let size = (1 + (i mod 5)) * 64 * 1024 in
-        (Backend.malloc_th backend ~thread:(-1) ~cpu:0 ~size, size))
+        (Backend.malloc backend ~cpu:0 ~size, size))
   in
-  List.iter (fun (a, size) -> Backend.free_th backend ~thread:(-1) ~cpu:0 a ~size) addrs;
+  List.iter (fun (a, size) -> Backend.free backend ~cpu:0 a ~size) addrs;
   ignore (Backend.release_memory backend ~target_bytes:max_int);
   check_int "all chunks unmapped" 0 (Backend.resident_bytes backend);
   check_bool "audit clean" true (Audit.is_clean (Backend.audit backend))
@@ -232,13 +231,13 @@ let test_pressure_survival kind () =
      never exceed resident > limit. *)
   for i = 0 to 4095 do
     let size = 16 * 1024 in
-    match Backend.malloc_th backend ~thread:(-1) ~cpu:(i mod 4) ~size with
+    match Backend.malloc backend ~cpu:(i mod 4) ~size with
     | addr ->
       live := (addr, size, i mod 4) :: !live;
       if List.length !live > 1024 then begin
         match !live with
         | (a, s, c) :: rest ->
-          Backend.free_th backend ~thread:(-1) ~cpu:c a ~size:s;
+          Backend.free backend ~cpu:c a ~size:s;
           live := rest
         | [] -> ()
       end
@@ -246,13 +245,13 @@ let test_pressure_survival kind () =
       incr ooms;
       (match !live with
       | (a, s, c) :: rest ->
-        Backend.free_th backend ~thread:(-1) ~cpu:c a ~size:s;
+        Backend.free backend ~cpu:c a ~size:s;
         live := rest
       | [] -> ())
   done;
   check_bool "stayed under hard limit" true (Backend.resident_bytes backend <= limit);
   check_bool "audit clean under pressure" true (Audit.is_clean (Backend.audit backend));
-  List.iter (fun (a, s, c) -> Backend.free_th backend ~thread:(-1) ~cpu:c a ~size:s) !live;
+  List.iter (fun (a, s, c) -> Backend.free backend ~cpu:c a ~size:s) !live;
   ignore (Backend.release_memory backend ~target_bytes:max_int);
   check_bool "audit clean after recovery" true (Audit.is_clean (Backend.audit backend))
 
@@ -284,14 +283,14 @@ let test_snapshot_roundtrip kind () =
   let addrs =
     List.init 200 (fun i ->
         let size = 32 + (i mod 9) * 100 in
-        (Backend.malloc_th backend ~thread:(-1) ~cpu:(i mod 4) ~size, size, i mod 4))
+        (Backend.malloc backend ~cpu:(i mod 4) ~size, size, i mod 4))
   in
   let blob = Backend.snapshot backend in
   let restored = Backend.restore ~kind blob in
   check_bool "same stats after restore" true
     (Backend.heap_stats restored = Backend.heap_stats backend);
   (* The restored heap keeps working: free everything that was live. *)
-  List.iter (fun (a, s, c) -> Backend.free_th restored ~thread:(-1) ~cpu:c a ~size:s) addrs;
+  List.iter (fun (a, s, c) -> Backend.free restored ~cpu:c a ~size:s) addrs;
   check_bool "restored audit clean" true (Audit.is_clean (Backend.audit restored))
 
 let test_kind_names () =
@@ -330,6 +329,8 @@ let suite =
           (test_snapshot_roundtrip Config.Rpmalloc);
         Alcotest.test_case "je_snapshot_roundtrip" `Quick
           (test_snapshot_roundtrip Config.Jemalloc);
+        Alcotest.test_case "tc_snapshot_roundtrip" `Quick
+          (test_snapshot_roundtrip Config.Tcmalloc);
         Alcotest.test_case "kind_names" `Quick test_kind_names;
       ] );
   ]

@@ -1,15 +1,15 @@
 (* Differential property tests for the event-loop rework: the calendar
    queue against the binary-heap reference, the payload-only drain against
    the keyed drain, the guide-table samplers against straight-line
-   reference searches on the same RNG stream, the alias table's
-   distribution, and the unboxed int table against a Hashtbl model. *)
+   reference searches on the same RNG stream, and the unboxed int table
+   against a Hashtbl model. *)
 
 open Wsc_substrate
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 let check_int = Alcotest.(check int)
 
-(* {1 Calendar vs Event_heap} *)
+(* {1 Calendar vs Event_heap_reference} *)
 
 (* A schedule is a list of steps; keys come from a small pool of magnitudes
    (forcing equal-key collisions) plus a far-future sentinel, and drains
@@ -99,7 +99,7 @@ let calendar_matches_event_heap =
   QCheck.Test.make ~name:"calendar_matches_event_heap_pop_order" ~count:200 sched_arb
     (fun steps ->
       let cal = Calendar.create () in
-      let heap = Event_heap.create () in
+      let heap = Event_heap_reference.create () in
       let cal_out = ref [] and heap_out = ref [] in
       run_schedule steps
         ~push:(fun key seq ->
@@ -108,9 +108,10 @@ let calendar_matches_event_heap =
           Calendar.drain_until cal bound (fun ~key ~a ~b ~c ->
               cal_out := (key, a, b, c) :: !cal_out));
       run_schedule steps
-        ~push:(fun key seq -> Event_heap.push heap key ~a:seq ~b:(seq * 7) ~c:(seq land 3))
+        ~push:(fun key seq ->
+          Event_heap_reference.push heap key ~a:seq ~b:(seq * 7) ~c:(seq land 3))
         ~drain:(fun bound ->
-          Event_heap.drain_until heap bound (fun ~key ~a ~b ~c ->
+          Event_heap_reference.drain_until heap bound (fun ~key ~a ~b ~c ->
               heap_out := (key, a, b, c) :: !heap_out));
       let cal_out = List.rev !cal_out and heap_out = List.rev !heap_out in
       (* Same key sequence... *)
@@ -306,56 +307,6 @@ let discrete_guide_matches_reference =
       done;
       !ok)
 
-(* {1 Alias table} *)
-
-(* The alias table may legitimately map uniforms to outcomes differently
-   from the inverse-CDF samplers, so it is tested distributionally: a
-   chi-squared goodness-of-fit against the target weights.  Thresholds are
-   the 99.9% quantile for the degrees of freedom in play; seeds are pinned
-   so the test is deterministic. *)
-let alias_chi_squared () =
-  let weights = [| 0.5; 0.2; 0.1; 0.08; 0.06; 0.03; 0.02; 0.01 |] in
-  let t = Alias.create weights in
-  check_int "length" (Array.length weights) (Alias.length t);
-  let rng = Rng.create 12345 in
-  let n = 200_000 in
-  let counts = Array.make (Array.length weights) 0 in
-  for _ = 1 to n do
-    let i = Alias.sample t rng in
-    counts.(i) <- counts.(i) + 1
-  done;
-  let chi2 = ref 0.0 in
-  Array.iteri
-    (fun i w ->
-      let expected = w *. float_of_int n in
-      let d = float_of_int counts.(i) -. expected in
-      chi2 := !chi2 +. (d *. d /. expected))
-    weights;
-  (* df = 7, chi2 crit at p=0.001 is 24.32 *)
-  if !chi2 > 24.32 then
-    Alcotest.failf "alias chi-squared %.2f exceeds 24.32 (df=7)" !chi2
-
-let alias_uniform_and_degenerate () =
-  (* Uniform weights: every outcome must appear. *)
-  let t = Alias.create (Array.make 16 1.0) in
-  let rng = Rng.create 7 in
-  let seen = Array.make 16 false in
-  for _ = 1 to 10_000 do
-    seen.(Alias.sample t rng) <- true
-  done;
-  Array.iteri (fun i s -> if not s then Alcotest.failf "outcome %d never drawn" i) seen;
-  (* Single outcome: always 0. *)
-  let one = Alias.create [| 42.0 |] in
-  for _ = 1 to 100 do
-    check_int "singleton" 0 (Alias.sample one rng)
-  done;
-  (* Zero-weight outcomes are never drawn. *)
-  let holes = Alias.create [| 1.0; 0.0; 3.0; 0.0 |] in
-  for _ = 1 to 10_000 do
-    let i = Alias.sample holes rng in
-    if i = 1 || i = 3 then Alcotest.failf "zero-weight outcome %d drawn" i
-  done
-
 (* {1 Int_table vs Hashtbl model} *)
 
 let int_table_matches_hashtbl =
@@ -419,8 +370,6 @@ let suite =
           qcheck empirical_guide_matches_reference;
           qcheck mixture_guide_matches_reference;
           qcheck discrete_guide_matches_reference;
-          Alcotest.test_case "alias chi-squared" `Quick alias_chi_squared;
-          Alcotest.test_case "alias uniform and degenerate" `Quick alias_uniform_and_degenerate;
         ] );
       ( "int_table",
         [

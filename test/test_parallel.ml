@@ -1,7 +1,7 @@
 (* Tests for deterministic domain-parallel execution: the Parallel pool's
    map contract (ordered, exactly-once, exception-safe, nest-safe), the
    bit-identical N-domain vs 1-domain guarantee for fleet and A/B runs, the
-   Event_heap/Binheap pop-order equivalence, and the bounded series
+   Event_heap_reference/Binheap pop-order equivalence, and the bounded series
    accumulators. *)
 
 open Wsc_substrate
@@ -103,7 +103,7 @@ let test_ab_parallel_determinism () =
   in
   check_bool "4-domain A/B == 1-domain A/B" true (run 1 = run 4)
 
-(* {1 Event_heap vs Binheap equivalence} *)
+(* {1 Event_heap_reference vs Binheap equivalence} *)
 
 let event_heap_matches_binheap =
   QCheck.Test.make ~name:"event_heap_pop_order_matches_binheap" ~count:100
@@ -111,22 +111,22 @@ let event_heap_matches_binheap =
     (fun entries ->
       (* Keys collide constantly (8 distinct values): equal-key pop order
          must match Binheap's exactly, including across bounded drains. *)
-      let eh = Event_heap.create () in
+      let eh = Event_heap_reference.create () in
       let bh = Binheap.create () in
       List.iteri
         (fun i (k, v) ->
           let key = float_of_int k in
-          Event_heap.push eh key ~a:v ~b:i ~c:(i land 3);
+          Event_heap_reference.push eh key ~a:v ~b:i ~c:(i land 3);
           Binheap.push bh key (v, i))
         entries;
       let got = ref [] and want = ref [] in
       List.iter
         (fun bound ->
-          Event_heap.drain_until eh bound (fun ~key ~a ~b ~c:_ ->
+          Event_heap_reference.drain_until eh bound (fun ~key ~a ~b ~c:_ ->
               got := (key, a, b) :: !got);
           List.iter (fun (k, (v, i)) -> want := (k, v, i) :: !want) (Binheap.pop_until bh bound))
         [ 2.0; 5.0; infinity ];
-      Event_heap.is_empty eh && Binheap.is_empty bh && !got = !want)
+      Event_heap_reference.is_empty eh && Binheap.is_empty bh && !got = !want)
 
 (* {1 Bounded series accumulators} *)
 

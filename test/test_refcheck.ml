@@ -170,6 +170,34 @@ let test_spanner_trace () =
       check_string "four-arm replay" "6611c8a6d05e950be6aac34b95892dc1"
         (Digest.to_hex (Digest.string line)))
 
+(* Legacy per-thread front end (footnote 2), the only config that reads
+   the driver's thread ids: 3 s of search_middle_tier, whose pool shrinks
+   and regrows with fresh thread ids every 0.25 s.  The digest covers the
+   machine summary and the job's whole Telemetry record, whose per-cache
+   miss counts are indexed by thread id in this mode.  The same run under
+   the per-CPU baseline must digest differently, or no thread id reached
+   the front end. *)
+let front_end_digest config =
+  let m =
+    Machine.create ~seed:13 ~config ~platform:Wsc_hw.Topology.default
+      ~jobs:[ Apps.search_middle_tier ] ()
+  in
+  Machine.run m ~duration_ns:(3.0 *. Units.sec) ~epoch_ns:Units.ms;
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (hex_digest (Machine.summary m));
+  List.iter
+    (fun (job : Machine.job) ->
+      let tel = Backend.telemetry job.Machine.backend in
+      Buffer.add_string buf (Digest.to_hex (Digest.string (Marshal.to_string tel []))))
+    (Machine.jobs m);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_per_thread_front_end () =
+  let per_thread = front_end_digest Config.legacy_per_thread in
+  check_string "per-thread digest" "b174d308dd99f20bd7ae0f4bfff4ee71" per_thread;
+  if per_thread = front_end_digest Config.baseline then
+    Alcotest.fail "per-thread run equals the per-CPU run: thread ids never reached malloc"
+
 let suite =
   [
     ( "refcheck",
@@ -180,5 +208,6 @@ let suite =
         Alcotest.test_case "rseq mild machine digest" `Quick test_rseq_mild;
         Alcotest.test_case "rseq fallback-heavy digest" `Quick test_rseq_fallback_heavy;
         Alcotest.test_case "spanner trace and four-arm replay" `Quick test_spanner_trace;
+        Alcotest.test_case "per-thread front-end digest" `Quick test_per_thread_front_end;
       ] );
   ]

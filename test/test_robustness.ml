@@ -219,7 +219,7 @@ let prop_wrong_size_free_detected =
        QCheck.(pair (int_range 8 300_000) (int_range 8 300_000))
        (fun (s1, s2) ->
          (* Only pairs that round to different size classes are erroneous. *)
-         if Size_class.of_size s1 = Size_class.of_size s2 then true
+         if Size_class.index_of_size s1 = Size_class.index_of_size s2 then true
          else begin
            let _, m = make_malloc () in
            let a = Malloc.malloc m ~cpu:0 ~size:s1 in

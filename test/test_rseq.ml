@@ -128,7 +128,7 @@ let test_engine_deterministic_streams () =
    like a restart on another vCPU, replaces the staged op. *)
 let test_staged_ops_mutate_only_on_commit () =
   let pcc = Per_cpu_cache.create () in
-  let cls = Option.get (Size_class.of_size 64) in
+  let cls = Size_class.index_of_size 64 in
   let size = Size_class.size cls in
   let used vcpu = Per_cpu_cache.used_bytes pcc ~vcpu in
   let batch = [| 0x1000; 0x2000 |] in
@@ -282,7 +282,7 @@ let test_audit_detects_duplicate_cached_object () =
   let a = Malloc.malloc m ~cpu:0 ~size:64 in
   Malloc.free m ~cpu:0 a ~size:64;
   (* Simulate a torn commit: the object is now cached twice. *)
-  let cls = Option.get (Size_class.of_size 64) in
+  let cls = Size_class.index_of_size 64 in
   ignore
     (Transfer_cache.insert_from (Malloc.transfer_cache m) ~cls ~domain:0
        ~now:(Clock.now clock) ~buf:[| a |] ~lo:0 ~hi:1);

@@ -295,6 +295,45 @@ let test_torn_write_loses_tail_not_head () =
     (rep.Salvage.missing_eos || rep.Salvage.damage <> []);
   check_bool "recovered a prefix only" true (!delivered <= List.length events)
 
+(* A text v1 trace that allocates and later frees both ids the live index
+   reserves (Codec.reserved_id), around one ordinary object.  The strict
+   reader rejects the first reserved line; every salvage path drops the
+   same four lines and keeps the other three, so replay and repair run on
+   a valid stream and the repaired file passes the strict reader. *)
+let test_text_salvage_drops_reserved_ids () =
+  with_temp @@ fun src ->
+  write_file src
+    (String.concat "\n"
+       [
+         Printf.sprintf "a %d 64 0" min_int;
+         "a 1 64 0";
+         Printf.sprintf "a %d 128 1" (min_int + 1);
+         "t 1000";
+         Printf.sprintf "f %d 0" min_int;
+         "f 1 0";
+         Printf.sprintf "f %d 1" (min_int + 1);
+       ]);
+  (match Reader.verify src with
+  | _ -> Alcotest.fail "strict reader accepted a reserved id"
+  | exception Invalid_argument msg ->
+    check_string "strict message"
+      (Printf.sprintf "Wsc_trace.Reader: line 1: id %d is reserved" min_int)
+      msg);
+  let scanned = Salvage.scan src in
+  check_int "scan recovered" 3 scanned.Salvage.events_recovered;
+  check_int "scan dropped" 4 scanned.Salvage.events_dropped;
+  check_bool "scan not clean" false (Salvage.clean scanned);
+  let replayed, report = Replay.run_salvage src in
+  check_int "replay allocations" 1 replayed.Replay.allocations;
+  check_int "replay frees" 1 replayed.Replay.frees;
+  check_int "replay dropped" 4 report.Salvage.events_dropped;
+  with_temp @@ fun dst ->
+  let repaired = Salvage.repair ~src ~dst () in
+  check_int "repair dropped" 4 repaired.Salvage.events_dropped;
+  let s = Reader.verify dst in
+  check_int "repaired events" 3 s.Reader.events;
+  check_int "repaired live at end" 0 s.Reader.live_at_end
+
 (* A killed snapshot writer must never publish a half-valid snapshot: the
    torn tmp either fails to publish (rename draw) or publishes a file the
    loader rejects as Corrupt — and an honest full write loads back equal. *)
@@ -485,6 +524,8 @@ let suite =
         test_salvage_payload_flip_loss_exact;
         Alcotest.test_case "torn write loses tail not head" `Quick
           test_torn_write_loses_tail_not_head;
+        Alcotest.test_case "text salvage drops reserved ids" `Quick
+          test_text_salvage_drops_reserved_ids;
       ] );
     ( "snapshot-salvage",
       [

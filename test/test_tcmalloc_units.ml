@@ -28,21 +28,19 @@ let test_size_class_monotone () =
   done
 
 let test_size_class_of_size () =
-  Alcotest.(check (option int)) "size 1 -> class 0" (Some 0) (Size_class.of_size 1);
-  Alcotest.(check (option int)) "size 8 -> class 0" (Some 0) (Size_class.of_size 8);
-  Alcotest.(check (option int)) "size 9 -> class 1" (Some 1) (Size_class.of_size 9);
-  Alcotest.(check (option int)) "over max -> None" None
-    (Size_class.of_size (Size_class.max_size + 1))
+  Alcotest.(check int) "size 1 -> class 0" 0 (Size_class.index_of_size 1);
+  Alcotest.(check int) "size 8 -> class 0" 0 (Size_class.index_of_size 8);
+  Alcotest.(check int) "size 9 -> class 1" 1 (Size_class.index_of_size 9);
+  Alcotest.(check int) "over max -> -1" (-1)
+    (Size_class.index_of_size (Size_class.max_size + 1))
 
 let test_size_class_of_size_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"of_size_returns_smallest_fitting_class" ~count:500
        QCheck.(int_range 1 (256 * 1024))
        (fun n ->
-         match Size_class.of_size n with
-         | None -> false
-         | Some cls ->
-           Size_class.size cls >= n && (cls = 0 || Size_class.size (cls - 1) < n)))
+         let cls = Size_class.index_of_size n in
+         cls >= 0 && Size_class.size cls >= n && (cls = 0 || Size_class.size (cls - 1) < n)))
 
 let test_size_class_capacity () =
   Array.iter

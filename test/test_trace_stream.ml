@@ -579,6 +579,9 @@ let test_multi_config_replay_deterministic () =
       let serial = Replay.run_configs ~jobs:1 ~configs path in
       let parallel = Replay.run_configs ~jobs:4 ~configs path in
       check_bool "jobs=4 bit-identical to jobs=1" true (serial = parallel);
+      check_bool "preloaded replay = file replay" true
+        (Replay.run_preloaded ~config:Config.baseline (Replay.preload path)
+        = List.assoc "baseline" serial);
       check_bool "arms see the identical workload" true
         ((List.assoc "baseline" serial).Replay.allocations
         = (List.assoc "all_opts" serial).Replay.allocations))
