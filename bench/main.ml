@@ -116,7 +116,7 @@ let span_observatory =
        Driver.create ~seed:42 ~profile:span_study_profile ~sched ~backend ~clock ()
      in
      Driver.run driver ~duration_ns:(sec 90.0) ~epoch_ns:Units.ms;
-     Malloc.span_stats (Backend.tc_exn backend))
+     Option.get (Malloc.span_stats (Backend.tc_exn backend)))
 
 let ab_experiments =
   [
@@ -1320,7 +1320,7 @@ let longhorizon () =
     end;
     note "bit-identity: chained run == uninterrupted %.0f s reference" observatory_s
   end;
-  let stats = Malloc.span_stats (Backend.tc_exn (Driver.backend !chained)) in
+  let stats = Option.get (Malloc.span_stats (Backend.tc_exn (Driver.backend !chained))) in
   (* Fig. 13 over the long window.  Two choices matter here.  The class:
      it needs several objects per span, or there are too few occupancy
      levels to correlate over (the most-created classes hold 1-5 objects);

@@ -60,7 +60,8 @@ val create :
 (** Dispatches on [config.backend].  [rseq] models TCMalloc's restartable
     sequences and is rejected ([Invalid_argument]) for the rival backends;
     [span_snapshot_interval_ns] is likewise TCMalloc-only and ignored by
-    rivals. *)
+    rivals.  Span statistics ({!Malloc.span_stats}) are recorded only when
+    it is given. *)
 
 val kind : t -> kind
 

@@ -90,9 +90,23 @@ let new_bucket () =
     sorted = 0;
   }
 
+(* Every slot starts as this one shared, never-written bucket, told apart
+   by [sorted = -1] rather than by physical equality ([Marshal] gives a
+   restored calendar its own copy).  Its zero capacity sends the first
+   push through [grow], which puts a bucket of the slot's own in its
+   place, so a calendar allocates only the buckets it uses: a short-lived
+   driver touches a few dozen of the 288.
+
+   It is also old after the first minor collection.  [caml_make_vect]
+   empties the minor heap before it fills an array longer than 256 words
+   with a young value — in OCaml 5 a stop-the-world collection on every
+   domain — and [Array.init] fills with a young [f 0] first, so building
+   the 288 buckets with it would force one collection per calendar. *)
+let empty_slot = { (new_bucket ()) with sorted = -1 }
+
 let create () =
   {
-    buckets = Array.init (levels * slots) (fun _ -> new_bucket ());
+    buckets = Array.make (levels * slots) empty_slot;
     cur = 0;
     len = 0;
     next_seq = 0;
@@ -150,10 +164,25 @@ let bucket_index t tick =
   let sh = shift_of_level !l in
   (!l lsl slot_bits) lor ((tick lsr sh) land slot_mask)
 
+(* Make room in slot [idx]'s full bucket [bk], first giving the slot a
+   bucket of its own if it still holds [empty_slot]. *)
+let grow t idx bk =
+  let bk =
+    if bk.sorted >= 0 then bk
+    else begin
+      let own = new_bucket () in
+      t.buckets.(idx) <- own;
+      own
+    end
+  in
+  bucket_grow bk;
+  bk
+
 let[@inline] push_tick t ~tick ~key ~a ~b ~c ~seq =
-  let bk = Array.unsafe_get t.buckets (bucket_index t tick) in
+  let idx = bucket_index t tick in
+  let bk = Array.unsafe_get t.buckets idx in
   let i = bk.blen in
-  if i = Array.length bk.keys then bucket_grow bk;
+  let bk = if i = Array.length bk.keys then grow t idx bk else bk in
   Array.unsafe_set bk.keys i key;
   Array.unsafe_set bk.ticks i tick;
   Array.unsafe_set bk.ea i a;

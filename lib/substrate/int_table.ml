@@ -1,17 +1,21 @@
 (* Open-addressing int -> int hash table over unboxed Bigarray storage.
 
-   The simulator's hot tables (the leak sampler's tracked-address set, the
-   trace recorder's addr -> id map) are int-keyed, int-valued, and queried
-   on every event.  [Hashtbl] costs
-   a bucket-list allocation per [replace] and an option per [find_opt];
-   this table allocates nothing on any operation except a (rare) resize.
+   The trace pipeline's tables (the recorder's addr -> id map, the codec's
+   live index, replay's id maps) are int-keyed, int-valued, and queried on
+   every event.  [Hashtbl] costs a bucket-list allocation per [replace]
+   and an option per [find_opt]; this table allocates nothing on any
+   operation except a (rare) doubling.
 
    Keys live in a [Bigarray.Array1] of native ints, so the GC never scans
    the table and membership probes touch exactly one cache line in the
-   common case.  Two key values are reserved as slot markers, so keys must
-   be greater than [min_int + 1] (addresses and ids in the simulator are
-   non-negative).  Collisions use linear probing with tombstone deletion;
-   the load factor, counting tombstones, is kept at or below 1/2. *)
+   common case.  Two key values are reserved, so keys must be greater than
+   [min_int + 1] (addresses and ids in the simulator are non-negative):
+   [min_int] marks an empty slot, and [min_int + 1] stays reserved so the
+   trace codec's contract does not depend on how deletion works.
+   Collisions use linear probing with backward-shift deletion: a removal
+   moves later entries of its probe run back into the hole, so the table
+   holds no tombstones and never rehashes at the same capacity.  The load
+   factor is kept at or below 1/2. *)
 
 open Bigarray
 
@@ -23,11 +27,10 @@ type t = {
   mutable mask : int;      (* capacity - 1; capacity is a power of two *)
   mutable shift : int;     (* 63 - log2 capacity, for multiplicative hashing *)
   mutable live : int;      (* occupied slots *)
-  mutable fill : int;      (* occupied + tombstone slots *)
 }
 
 let empty_key = min_int
-let tombstone = min_int + 1
+let reserved_key = min_int + 1
 
 let fib = 0x2545F4914F6CDD1D
 
@@ -52,7 +55,6 @@ let create ?(initial_capacity = 16) () =
     mask = cap - 1;
     shift = 63 - log2_exact cap;
     live = 0;
-    fill = 0;
   }
 
 let length t = t.live
@@ -89,48 +91,52 @@ let rec resize t new_cap =
   t.mask <- new_cap - 1;
   t.shift <- 63 - log2_exact new_cap;
   t.live <- 0;
-  t.fill <- 0;
   for i = 0 to old_cap - 1 do
     let k = Array1.unsafe_get old_keys i in
-    if k <> empty_key && k <> tombstone then
-      set t k (Array1.unsafe_get old_vals i)
+    if k <> empty_key then set t k (Array1.unsafe_get old_vals i)
   done
 
 and set t key value =
-  if key = empty_key || key = tombstone then
+  if key = empty_key || key = reserved_key then
     invalid_arg "Int_table.set: key out of range";
-  (* Keep load factor (incl. tombstones) <= 1/2; if most of the fill is
-     tombstones, rehash in place instead of doubling. *)
-  if 2 * (t.fill + 1) > t.mask + 1 then
-    resize t (if 4 * t.live > t.mask + 1 then 2 * (t.mask + 1) else t.mask + 1);
+  if 2 * (t.live + 1) > t.mask + 1 then resize t (2 * (t.mask + 1));
   let keys = t.keys in
   let mask = t.mask in
   let i = ref (slot_of_key t key) in
-  let first_tomb = ref (-1) in
-  let continue = ref true in
-  while !continue do
+  while
     let k = Array1.unsafe_get keys !i in
-    if k = key then begin
-      Array1.unsafe_set t.vals !i value;
-      continue := false
-    end
-    else if k = empty_key then begin
-      let dst = if !first_tomb >= 0 then !first_tomb else !i in
-      Array1.unsafe_set keys dst key;
-      Array1.unsafe_set t.vals dst value;
-      t.live <- t.live + 1;
-      if !first_tomb < 0 then t.fill <- t.fill + 1;
-      continue := false
-    end
-    else begin
-      if k = tombstone && !first_tomb < 0 then first_tomb := !i;
-      i := (!i + 1) land mask
-    end
-  done
+    k <> key && k <> empty_key
+  do
+    i := (!i + 1) land mask
+  done;
+  if Array1.unsafe_get keys !i = empty_key then begin
+    Array1.unsafe_set keys !i key;
+    t.live <- t.live + 1
+  end;
+  Array1.unsafe_set t.vals !i value
 
+(* Backward-shift deletion: walk the probe run after the hole, and move
+   back every entry whose home slot does not lie cyclically in
+   (hole, entry]; such an entry stays reachable from its home only through
+   the hole.  The run ends at the first empty slot, which the last hole
+   becomes. *)
 let remove t key =
   let s = probe_find t key in
   if s >= 0 then begin
-    Array1.unsafe_set t.keys s tombstone;
+    let keys = t.keys and vals = t.vals in
+    let mask = t.mask in
+    let hole = ref s in
+    let j = ref ((s + 1) land mask) in
+    while Array1.unsafe_get keys !j <> empty_key do
+      let k = Array1.unsafe_get keys !j in
+      let home = slot_of_key t k in
+      if (!j - home) land mask >= (!j - !hole) land mask then begin
+        Array1.unsafe_set keys !hole k;
+        Array1.unsafe_set vals !hole (Array1.unsafe_get vals !j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    Array1.unsafe_set keys !hole empty_key;
     t.live <- t.live - 1
   end

@@ -1,11 +1,13 @@
 (** Open-addressing int -> int hash table backed by unboxed Bigarray
-    storage: no allocation on [mem]/[find]/[set]/[remove] (resizes aside),
-    and the GC never scans the slots.  Used for the event-loop hot tables
-    (sampler tracking, recorder id map) and the trace pipeline's id tables
-    (the codec's live index, replay's id -> address and id -> size maps).
+    storage: no allocation on [mem]/[find]/[set]/[remove] (doublings
+    aside), and the GC never scans the slots.  Used for the trace
+    pipeline's id tables (the recorder's id map, the codec's live index,
+    replay's id -> address and id -> size maps).  Removal shifts later
+    entries back instead of leaving tombstones, so a table whose keys churn
+    never rehashes at the same capacity.
 
     Keys must be greater than [min_int + 1]; the two smallest ints are
-    reserved as internal slot markers. *)
+    reserved (one marks empty slots). *)
 
 type t
 

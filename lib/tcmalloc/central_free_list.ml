@@ -8,9 +8,15 @@ type addr = int
    source. *)
 type span_list = { mutable stack : Span.t list }
 
+(* Every span a class owns sits in [held.(0 .. n_held - 1)], at its
+   [held_slot]; a released span's place takes the last one, so holding
+   and releasing a span cost no hash and no allocation.  Only the audit
+   and span snapshots visit the held spans, and neither depends on their
+   order. *)
 type class_state = {
   lists : span_list array;
-  spans : (int, Span.t) Hashtbl.t;  (* every span owned by this class *)
+  mutable held : Span.t array;
+  mutable n_held : int;
   mutable free_objects : int;
 }
 
@@ -28,7 +34,8 @@ let create ?(config = Config.baseline) ?span_stats pageheap =
   let make_class _ =
     {
       lists = Array.init n_lists (fun _ -> { stack = [] });
-      spans = Hashtbl.create 16;
+      held = [||];
+      n_held = 0;
       free_objects = 0;
     }
   in
@@ -91,6 +98,30 @@ let pick_span cs =
   in
   scan 0
 
+(* Fills the unused tail of [held]: old after the first minor collection,
+   so growing an array past 256 words forces none (see Calendar). *)
+let vacant = Span.create_large ~id:(-1) ~base:0 ~pages:1 ~birth_time:0.0
+
+let hold cs span =
+  let n = cs.n_held in
+  if n = Array.length cs.held then begin
+    let bigger = Array.make (max 8 (2 * n)) vacant in
+    Array.blit cs.held 0 bigger 0 n;
+    cs.held <- bigger
+  end;
+  cs.held.(n) <- span;
+  Span.set_held_slot span n;
+  cs.n_held <- n + 1
+
+let release cs span =
+  let i = span.Span.held_slot and last = cs.n_held - 1 in
+  let moved = cs.held.(last) in
+  cs.held.(i) <- moved;
+  Span.set_held_slot moved i;
+  cs.held.(last) <- vacant;
+  Span.set_held_slot span (-1);
+  cs.n_held <- last
+
 let note_created t span ~now =
   match t.span_stats with
   | None -> ()
@@ -115,7 +146,7 @@ let remove_objects_into t ~cls ~n ~now ~buf ~pos ~mmaps =
          | None ->
            let span, m = Pageheap.new_small_span t.pageheap ~size_class:cls ~now in
            mmaps := !mmaps + m;
-           Hashtbl.replace cs.spans span.Span.id span;
+           hold cs span;
            cs.free_objects <- cs.free_objects + span.Span.capacity;
            note_created t span ~now;
            Span.set_list_index span (-1);
@@ -152,7 +183,7 @@ let return_objects t ~cls ~addrs ~now =
       cs.free_objects <- cs.free_objects + 1;
       if Span.is_idle span then begin
         cs.free_objects <- cs.free_objects - span.Span.capacity;
-        Hashtbl.remove cs.spans span.Span.id;
+        release cs span;
         Span.set_list_index span (-1);
         note_released t span ~now;
         t.released_span_bytes <- t.released_span_bytes + Span.span_bytes span;
@@ -173,9 +204,15 @@ let fragmented_bytes t =
 
 let released_span_bytes t = t.released_span_bytes
 
-let iter_spans t f = Array.iter (fun cs -> Hashtbl.iter (fun _ span -> f span) cs.spans) t.classes
+let iter_spans t f =
+  Array.iter
+    (fun cs ->
+      for i = 0 to cs.n_held - 1 do
+        f cs.held.(i)
+      done)
+    t.classes
 
-let span_count t ~cls = Hashtbl.length t.classes.(cls).spans
+let span_count t ~cls = t.classes.(cls).n_held
 
 let snapshot t ~now =
   match t.span_stats with
@@ -183,9 +220,9 @@ let snapshot t ~now =
   | Some stats ->
     Array.iteri
       (fun cls cs ->
-        Hashtbl.iter
-          (fun _ span ->
-            Span_stats.observe stats ~span_id:span.Span.id ~cls
-              ~outstanding:span.Span.outstanding ~now)
-          cs.spans)
+        for i = 0 to cs.n_held - 1 do
+          let span = cs.held.(i) in
+          Span_stats.observe stats ~span_id:span.Span.id ~cls
+            ~outstanding:span.Span.outstanding ~now
+        done)
       t.classes

@@ -40,7 +40,7 @@ type t = {
   pageheap : Pageheap.t;
   sampler : Sampler.t;
   telemetry : Telemetry.t;
-  span_stats : Span_stats.t;
+  span_stats : Span_stats.t option;  (* only when span snapshots were asked for *)
   mutable vcpu_domain : int array;  (* vcpu -> LLC domain of its physical CPU *)
   (* Preemption injector; None runs the fast path atomically (pre-rseq). *)
   rseq : Rseq.t option;
@@ -133,8 +133,10 @@ let cache_index_id t ~thread ~cpu =
 let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topology ~clock () =
   let vm = Vm.create () in
   let pageheap = Pageheap.create ~config vm in
-  let span_stats = Span_stats.create () in
-  let cfl = Central_free_list.create ~config ~span_stats pageheap in
+  (* Span statistics cost a table cell per span ever released; only the
+     Fig. 13/16 studies, which ask for snapshots, read them. *)
+  let span_stats = Option.map (fun _ -> Span_stats.create ()) span_snapshot_interval_ns in
+  let cfl = Central_free_list.create ~config ?span_stats pageheap in
   let tc = Transfer_cache.create ~config ~topology cfl in
   let pcc = Per_cpu_cache.create ~config () in
   let t =

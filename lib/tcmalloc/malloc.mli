@@ -23,8 +23,10 @@ val create :
   unit ->
   t
 (** A fresh allocator instance (one simulated process).  When
-    [span_snapshot_interval_ns] is given, central-free-list span occupancy
-    is observed periodically into {!span_stats} (Figs. 13/16).
+    [span_snapshot_interval_ns] is given, a {!Span_stats} collector records
+    every span the central free list creates and releases, and span
+    occupancy is observed into it at that period (Figs. 13/16).  Without it
+    no span statistics are kept and {!span_stats} is [None].
 
     When [rseq] is given, every per-CPU step — the per-event pop or push,
     and a cache miss's batch fill or flush — runs under the
@@ -138,7 +140,10 @@ val live_fragmentation_ratio : t -> float
     the allocation-free form for per-epoch sampling loops. *)
 
 val telemetry : t -> Telemetry.t
-val span_stats : t -> Span_stats.t
+
+val span_stats : t -> Span_stats.t option
+(** [Some] exactly when {!create} was given [span_snapshot_interval_ns]. *)
+
 val per_cpu_caches : t -> Per_cpu_cache.t
 val transfer_cache : t -> Transfer_cache.t
 val central_free_list : t -> Central_free_list.t

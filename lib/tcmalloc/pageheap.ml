@@ -18,7 +18,10 @@ type t = {
   region : Hugepage_region.t;
   cache : Hugepage_cache.t;
   page_map : Page_map.t;
+  (* Large spans only: a small span always lives in the filler, and the
+     page map already tells whether this pageheap carved it. *)
   placements : (int, placement) Hashtbl.t;
+  mutable small_spans : int;
   mutable next_span_id : int;
   mutable cache_used_pages : int;  (* pages of large spans on whole hugepages *)
 }
@@ -32,6 +35,7 @@ let create ?(config = Config.baseline) vm =
     cache = Hugepage_cache.create vm;
     page_map = Page_map.create ();
     placements = Hashtbl.create 1024;
+    small_spans = 0;
     next_span_id = 0;
     cache_used_pages = 0;
   }
@@ -70,7 +74,7 @@ let new_small_span t ~size_class ~now =
   let base, mmaps = filler_allocate t ~kind ~pages:info.Size_class.pages in
   let span = Span.create_small ~id:(fresh_id t) ~base ~size_class ~birth_time:now in
   Page_map.register t.page_map span;
-  Hashtbl.replace t.placements span.Span.id In_filler;
+  t.small_spans <- t.small_spans + 1;
   (span, mmaps)
 
 (* Large allocations "slightly exceeding" whole hugepages (Sec. 4.4, e.g.
@@ -128,12 +132,16 @@ let free_via_filler t a ~pages =
 let free_span t span =
   if not (Span.is_idle span) then invalid_arg "Pageheap.free_span: span not idle";
   let placement =
-    match Hashtbl.find_opt t.placements span.Span.id with
-    | Some p -> p
-    | None -> invalid_arg "Pageheap.free_span: unknown span"
+    if not (Span.is_large span) then In_filler
+    else
+      match Hashtbl.find_opt t.placements span.Span.id with
+      | Some p -> p
+      | None -> invalid_arg "Pageheap.free_span: unknown span"
   in
+  (* Raises, changing nothing, for a span this pageheap does not hold. *)
   Page_map.unregister t.page_map span;
-  Hashtbl.remove t.placements span.Span.id;
+  if Span.is_large span then Hashtbl.remove t.placements span.Span.id
+  else t.small_spans <- t.small_spans - 1;
   match placement with
   | In_filler -> free_via_filler t span.Span.base ~pages:span.Span.pages
   | In_region -> Hugepage_region.free t.region span.Span.base ~pages:span.Span.pages
@@ -242,4 +250,4 @@ let hugepage_coverage t =
     t.placements;
   if !total = 0 then 1.0 else float_of_int !covered /. float_of_int !total
 
-let spans_outstanding t = Hashtbl.length t.placements
+let spans_outstanding t = Hashtbl.length t.placements + t.small_spans

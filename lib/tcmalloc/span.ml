@@ -11,9 +11,11 @@ type t = {
   capacity : int;
   mutable outstanding : int;
   mutable next_fresh : int;
-  returned_slots : Int_stack.t;
+  mutable returned : int array;
+  mutable n_returned : int;
   slot_state : Bytes.t;
   mutable list_index : int;
+  mutable held_slot : int;
   birth_time : float;
 }
 
@@ -37,9 +39,11 @@ let create_small ~id ~base ~size_class ~birth_time =
     capacity = info.capacity;
     outstanding = 0;
     next_fresh = 0;
-    returned_slots = Int_stack.create ();
+    returned = [||];
+    n_returned = 0;
     slot_state = Bytes.make info.capacity free_byte;
     list_index = -1;
+    held_slot = -1;
     birth_time;
   }
 
@@ -53,9 +57,11 @@ let create_large ~id ~base ~pages ~birth_time =
     capacity = 1;
     outstanding = 0;
     next_fresh = 0;
-    returned_slots = Int_stack.create ~initial_capacity:1 ();
+    returned = [||];
+    n_returned = 0;
     slot_state = Bytes.make 1 free_byte;
     list_index = -1;
+    held_slot = -1;
     birth_time;
   }
 
@@ -76,7 +82,10 @@ let pop_object t =
        from the span base up, matching the address-order carving of the
        real allocator. *)
     let slot =
-      if not (Int_stack.is_empty t.returned_slots) then Int_stack.pop t.returned_slots
+      if t.n_returned > 0 then begin
+        t.n_returned <- t.n_returned - 1;
+        Array.unsafe_get t.returned t.n_returned
+      end
       else if t.next_fresh < t.capacity then begin
         let slot = t.next_fresh in
         t.next_fresh <- slot + 1;
@@ -108,6 +117,18 @@ let[@inline] slot_of ~fn t addr =
   if slot * t.obj_size <> offset then invalid_arg (fn ^ ": misaligned object");
   slot
 
+(* Most spans of a short-lived heap never get an object back, so the
+   returned-slot stack has no storage until its first push. *)
+let push_returned t slot =
+  let n = t.n_returned in
+  if n = Array.length t.returned then begin
+    let bigger = Array.make (max 8 (2 * n)) 0 in
+    Array.blit t.returned 0 bigger 0 n;
+    t.returned <- bigger
+  end;
+  Array.unsafe_set t.returned n slot;
+  t.n_returned <- n + 1
+
 let push_object t addr =
   if is_large t then begin
     if not (contains t addr) then invalid_arg "Span.push_object: address outside span";
@@ -119,7 +140,7 @@ let push_object t addr =
     if Bytes.get t.slot_state slot = free_byte then
       invalid_arg "Span.push_object: double free";
     Bytes.set t.slot_state slot free_byte;
-    Int_stack.push t.returned_slots slot;
+    push_returned t slot;
     t.outstanding <- t.outstanding - 1
   end
 
@@ -156,3 +177,4 @@ let count_slots t state =
 
 let fragmented_bytes t = free_objects t * t.obj_size
 let set_list_index t i = t.list_index <- i
+let set_held_slot t i = t.held_slot <- i

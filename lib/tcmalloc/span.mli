@@ -39,13 +39,18 @@ type t = private {
   mutable outstanding : int;  (** Objects currently extracted from the span. *)
   mutable next_fresh : int;
       (** Slots [next_fresh .. capacity - 1] have never been issued; they
-          are free and are carved in address order once [returned_slots]
-          is empty.  A new span starts at 0, so creating one costs O(1)
+          are free and are carved in address order once no returned slot
+          is left.  A new span starts at 0, so creating one costs O(1)
           besides [slot_state]. *)
-  returned_slots : Wsc_substrate.Int_stack.t;
-      (** Slots pushed back since carving, popped most recent first. *)
+  mutable returned : int array;
+  mutable n_returned : int;
+      (** Stack of the slots pushed back since carving,
+          [returned.(0 .. n_returned - 1)], popped most recent first; its
+          storage is allocated at the first push. *)
   slot_state : Bytes.t;  (** One {!slot_state} byte per object slot. *)
   mutable list_index : int;  (** Central-free-list bucket, -1 if not listed. *)
+  mutable held_slot : int;
+      (** Index among the spans its central free list holds, -1 if none. *)
   birth_time : float;  (** Simulated creation time (for lifetime studies). *)
 }
 
@@ -111,3 +116,4 @@ val fragmented_bytes : t -> int
     contributes while sitting in the central free list. *)
 
 val set_list_index : t -> int -> unit
+val set_held_slot : t -> int -> unit

@@ -78,11 +78,16 @@ let fenwick_select t target =
   done;
   !pos + 1
 
-(* Rebuild with the live slots only, into [new_cap] slots. *)
+(* Rebuild with the live slots only, into [new_cap] slots.  Compacting at
+   the same capacity reuses the arrays, moving each live slot down to its
+   new place (never above its old one); slots from [n_slots] up are
+   written by [append] before anything reads them.  Fresh arrays at every
+   compaction were major-heap garbage, a few words per append. *)
 let rebuild t new_cap =
-  let ids = Array.make new_cap 0 in
-  let live = Bytes.make new_cap '\000' in
-  let fenwick = Array.make (new_cap + 1) 0 in
+  let same = new_cap = t.cap in
+  let ids = if same then t.ids else Array.make new_cap 0 in
+  let live = if same then t.live else Bytes.make new_cap '\000' in
+  let fenwick = if same then t.fenwick else Array.make (new_cap + 1) 0 in
   let k = ref 0 in
   for slot = 0 to t.n_slots - 1 do
     if Bytes.unsafe_get t.live slot = '\001' then begin
@@ -92,6 +97,7 @@ let rebuild t new_cap =
       incr k
     end
   done;
+  if same then Array.fill fenwick 0 (new_cap + 1) 0;
   t.ids <- ids;
   t.live <- live;
   t.fenwick <- fenwick;

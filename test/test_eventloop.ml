@@ -342,9 +342,73 @@ let int_table_matches_hashtbl =
         model;
       !ok)
 
+(* Keys whose home slot in a [cap]-slot table is one of the last [tail]
+   slots, so their probe runs wrap around the end of the table.  This
+   mirrors [Int_table]'s hash; were that hash changed, the keys would
+   still be valid, only no longer clustered. *)
+let wrapping_keys ~cap ~tail ~n =
+  let shift = 63 - (match cap with 16 -> 4 | 32 -> 5 | _ -> invalid_arg "wrapping_keys") in
+  let home k = (k * 0x2545F4914F6CDD1D) lsr shift in
+  let rec go k acc count =
+    if count = n then List.rev acc
+    else if home k >= cap - tail then go (k + 1) (k :: acc) (count + 1)
+    else go (k + 1) acc count
+  in
+  go 1 [] 0
+
+(* Delete-heavy runs over keys clustered at the end of the table: removal
+   shifts entries back across the wrap, and every key must stay findable. *)
+let int_table_delete_heavy_wrapping =
+  let pool = Array.of_list (wrapping_keys ~cap:16 ~tail:2 ~n:12 @ wrapping_keys ~cap:32 ~tail:2 ~n:12) in
+  QCheck.Test.make ~name:"int_table_delete_heavy_wrapping_clusters" ~count:300
+    QCheck.(list_of_size (Gen.int_range 20 300) (pair (int_range 0 9) (int_range 0 (Array.length pool - 1))))
+    (fun ops ->
+      let t = Int_table.create ~initial_capacity:16 () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let ok = ref true in
+      List.iteri
+        (fun step (op, i) ->
+          let key = pool.(i) in
+          (* Removes outnumber inserts 5 to 3. *)
+          if op < 3 then begin
+            Int_table.set t key step;
+            Hashtbl.replace model key step
+          end
+          else if op < 8 then begin
+            Int_table.remove t key;
+            Hashtbl.remove model key
+          end
+          else if Int_table.mem t key <> Hashtbl.mem model key then ok := false;
+          if Int_table.length t <> Hashtbl.length model then ok := false;
+          Array.iter
+            (fun k ->
+              let expect = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+              if Int_table.find t k ~default:(-1) <> expect then ok := false)
+            pool)
+        ops;
+      !ok)
+
+let int_table_wrapped_cluster_removal () =
+  (* Six keys homed in the last two slots of a 16-slot table fill slots 14,
+     15, 0, 1, 2, 3; removing each position in turn must keep the rest. *)
+  let keys = wrapping_keys ~cap:16 ~tail:2 ~n:6 in
+  List.iteri
+    (fun victim_index victim ->
+      let t = Int_table.create ~initial_capacity:16 () in
+      List.iter (fun k -> Int_table.set t k (k + 1)) keys;
+      Int_table.remove t victim;
+      check_int (Printf.sprintf "length after removing #%d" victim_index) 5 (Int_table.length t);
+      List.iter
+        (fun k ->
+          let expect = if k = victim then -1 else k + 1 in
+          check_int (Printf.sprintf "key %d after removing #%d" k victim_index) expect
+            (Int_table.find t k ~default:(-1)))
+        keys)
+    keys
+
 let int_table_tombstone_churn () =
-  (* Set/remove cycling through a fixed key range forces tombstone
-     accumulation and the rehash-in-place path. *)
+  (* Set/remove cycling through a fixed key range: every removal must
+     leave the table as if the key was never set. *)
   let t = Int_table.create ~initial_capacity:8 () in
   for i = 1 to 100_000 do
     let k = i land 0x3f in
@@ -356,6 +420,18 @@ let int_table_tombstone_churn () =
     if Int_table.mem t k then Alcotest.failf "stale key %d after churn" k
   done
 
+(* The driver builds one calendar per job, and a cold campaign machine
+   builds two.  Creating one must not force a minor collection: in OCaml 5
+   that stops every domain. *)
+let create_forces_no_minor_gc () =
+  ignore (Sys.opaque_identity (Calendar.create ()));
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 200 do
+    ignore (Sys.opaque_identity (Calendar.create ()))
+  done;
+  let ran = (Gc.quick_stat ()).Gc.minor_collections - before in
+  if ran >= 50 then Alcotest.failf "200 Calendar.create calls ran %d minor collections" ran
+
 let suite =
     [
       ( "calendar",
@@ -364,6 +440,7 @@ let suite =
           qcheck drain_payloads_matches_drain_until;
           Alcotest.test_case "watermark resort after partial drain" `Quick watermark_resort;
           Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;
+          Alcotest.test_case "create forces no minor GC" `Quick create_forces_no_minor_gc;
         ] );
       ( "samplers",
         [
@@ -375,5 +452,7 @@ let suite =
         [
           qcheck int_table_matches_hashtbl;
           Alcotest.test_case "tombstone churn" `Quick int_table_tombstone_churn;
+          qcheck int_table_delete_heavy_wrapping;
+          Alcotest.test_case "wrapped cluster removal" `Quick int_table_wrapped_cluster_removal;
         ] );
     ]

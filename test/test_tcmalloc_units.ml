@@ -198,6 +198,74 @@ let test_page_map_unregister () =
   check_int "zero spans" 0 (Page_map.span_count pm);
   Alcotest.(check bool) "gone" true (Page_map.lookup pm 0 = None)
 
+let owned_ids pm =
+  let ids = ref [] in
+  Page_map.iter_spans pm (fun s -> ids := s.Span.id :: !ids);
+  List.sort compare !ids
+
+let owner pm p = Option.map (fun s -> s.Span.id) (Page_map.lookup pm (p * page))
+let check_owner msg expected pm p = Alcotest.(check (option int)) msg expected (owner pm p)
+
+let test_page_map_failed_register_unchanged () =
+  let pm = Page_map.create () in
+  Page_map.register pm (Span.create_large ~id:1 ~base:(10 * page) ~pages:2 ~birth_time:0.0);
+  let s2 = Span.create_large ~id:2 ~base:(8 * page) ~pages:3 ~birth_time:0.0 in
+  Alcotest.check_raises "overlap" (Invalid_argument "Page_map.register: page already owned")
+    (fun () -> Page_map.register pm s2);
+  check_owner "page 8 unclaimed" None pm 8;
+  check_owner "page 9 unclaimed" None pm 9;
+  check_owner "page 10 kept" (Some 1) pm 10;
+  check_int "one span" 1 (Page_map.span_count pm);
+  Alcotest.(check (list int)) "no slot for the rejected span" [ 1 ] (owned_ids pm);
+  (* The rejected span's free pages take a later span. *)
+  Page_map.register pm (Span.create_large ~id:3 ~base:(8 * page) ~pages:2 ~birth_time:0.0);
+  check_owner "page 8 now span 3" (Some 3) pm 8;
+  Alcotest.(check (list int)) "two spans" [ 1; 3 ] (owned_ids pm)
+
+let test_page_map_failed_unregister_unchanged () =
+  let pm = Page_map.create () in
+  let s1 = Span.create_large ~id:1 ~base:(10 * page) ~pages:2 ~birth_time:0.0 in
+  Page_map.register pm s1;
+  Page_map.register pm (Span.create_large ~id:4 ~base:(12 * page) ~pages:2 ~birth_time:0.0);
+  (* Span 1's id over one page too many: page 12 belongs to span 4. *)
+  let wrong = Span.create_large ~id:1 ~base:(10 * page) ~pages:3 ~birth_time:0.0 in
+  Alcotest.check_raises "not owned" (Invalid_argument "Page_map.unregister: page not owned by span")
+    (fun () -> Page_map.unregister pm wrong);
+  check_owner "page 10 kept" (Some 1) pm 10;
+  check_owner "page 11 kept" (Some 1) pm 11;
+  check_owner "page 12 kept" (Some 4) pm 12;
+  check_int "two spans" 2 (Page_map.span_count pm);
+  Page_map.unregister pm s1;
+  check_owner "page 10 freed" None pm 10;
+  Alcotest.(check (list int)) "span 4 left" [ 4 ] (owned_ids pm)
+
+let test_page_map_leaf_straddle () =
+  let pm = Page_map.create () in
+  let leaf = Page_map.leaf_pages in
+  (* Pages leaf-2 .. leaf+1: two pages on each side of the first boundary. *)
+  let s = Span.create_large ~id:7 ~base:((leaf - 2) * page) ~pages:4 ~birth_time:0.0 in
+  Page_map.register pm s;
+  check_owner "before the span" None pm (leaf - 3);
+  for p = leaf - 2 to leaf + 1 do
+    check_owner (Printf.sprintf "page %d" p) (Some 7) pm p
+  done;
+  check_owner "after the span" None pm (leaf + 2);
+  (* A span over three leaves whose last page is taken: nothing is
+     written, in any of its leaves. *)
+  Page_map.register pm
+    (Span.create_large ~id:8 ~base:(((3 * leaf) + 1) * page) ~pages:1 ~birth_time:0.0);
+  let long = Span.create_large ~id:9 ~base:((leaf + 2) * page) ~pages:(2 * leaf) ~birth_time:0.0 in
+  Alcotest.check_raises "overlap in the last leaf"
+    (Invalid_argument "Page_map.register: page already owned") (fun () ->
+      Page_map.register pm long);
+  check_owner "first page of the rejected span" None pm (leaf + 2);
+  check_owner "middle leaf" None pm (2 * leaf);
+  Page_map.unregister pm s;
+  for p = leaf - 2 to leaf + 1 do
+    check_owner (Printf.sprintf "page %d freed" p) None pm p
+  done;
+  Alcotest.(check (list int)) "span 8 left" [ 8 ] (owned_ids pm)
+
 (* {1 Hugepage_filler} *)
 
 let test_filler_allocates_from_added () =
@@ -488,6 +556,11 @@ let suite =
         Alcotest.test_case "register/lookup" `Quick test_page_map_register_lookup;
         Alcotest.test_case "overlap rejected" `Quick test_page_map_overlap_rejected;
         Alcotest.test_case "unregister" `Quick test_page_map_unregister;
+        Alcotest.test_case "failed register changes nothing" `Quick
+          test_page_map_failed_register_unchanged;
+        Alcotest.test_case "failed unregister changes nothing" `Quick
+          test_page_map_failed_unregister_unchanged;
+        Alcotest.test_case "span straddling leaves" `Quick test_page_map_leaf_straddle;
       ] );
     ( "hugepage_filler",
       [
