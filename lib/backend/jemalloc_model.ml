@@ -81,14 +81,7 @@ let slab_pages_of cls =
   let size = class_size cls in
   (4 * size + page_size - 1) / page_size
 
-type chunk = {
-  c_base : addr;
-  c_hugepages : int;
-  c_pages : int;
-  c_arena : int;
-}
-
-type extent = { x_base : addr; x_pages : int; x_chunk : chunk }
+type chunk = Extents.chunk
 
 type slab_state = Sl_current | Sl_nonfull | Sl_full | Sl_dead
 
@@ -109,8 +102,7 @@ type slab = {
 
 type arena = {
   a_index : int;
-  mutable extents : extent list;  (* free extents, ascending base *)
-  mutable a_chunks : chunk list;
+  extents : Extents.t;  (* free extents *)
   current : slab option array;  (* per size class *)
   nonfull : slab list array;  (* per size class; dead entries skipped lazily *)
 }
@@ -139,8 +131,7 @@ type t = {
 let new_arena i =
   {
     a_index = i;
-    extents = [];
-    a_chunks = [];
+    extents = Extents.create ~page_size;
     current = Array.make class_count None;
     nonfull = Array.make class_count [];
   }
@@ -184,24 +175,15 @@ let tcache_for t vcpu =
 let charge t tier = Telemetry.charge_tier t.tel tier (Cost.tier_hit_ns tier)
 let arena_of t vcpu = t.arenas.(vcpu mod num_arenas)
 
-(* Fresh chunk for an arena; its whole page run becomes one free extent.
-   (Inserted directly — the coalescing inserter would instantly see a
-   fully-free chunk and unmap it again.) *)
+(* Fresh chunk for an arena; its whole page run becomes one free extent,
+   which the caller allocates from next. *)
 let mmap_chunk t arena ~pages =
   let hugepages = max 1 ((pages + pages_per_hugepage - 1) / pages_per_hugepage) in
   let base = Vm.mmap t.vm ~hugepages in
   let chunk =
-    { c_base = base; c_hugepages = hugepages; c_pages = hugepages * pages_per_hugepage;
-      c_arena = arena.a_index }
+    { Extents.c_base = base; c_hugepages = hugepages; c_pages = hugepages * pages_per_hugepage }
   in
-  arena.a_chunks <- chunk :: arena.a_chunks;
-  let extent = { x_base = base; x_pages = chunk.c_pages; x_chunk = chunk } in
-  let rec ins = function
-    | [] -> [ extent ]
-    | x :: rest when x.x_base < base -> x :: ins rest
-    | rest -> extent :: rest
-  in
-  arena.extents <- ins arena.extents;
+  Extents.add_chunk arena.extents chunk;
   t.ph_bytes <- t.ph_bytes + (chunk.c_pages * page_size);
   charge t Cost.Mmap;
   chunk
@@ -209,56 +191,18 @@ let mmap_chunk t arena ~pages =
 (* First-fit extent allocation: lowest-address extent that fits; the run
    is taken from the extent's front. *)
 let alloc_extent t arena ~pages =
-  let rec take acc = function
-    | [] -> None
-    | x :: rest when x.x_pages >= pages ->
-      let remainder =
-        if x.x_pages > pages then
-          [ { x_base = x.x_base + (pages * page_size); x_pages = x.x_pages - pages;
-              x_chunk = x.x_chunk } ]
-        else []
-      in
-      arena.extents <- List.rev_append acc (remainder @ rest);
-      Some (x.x_base, x.x_chunk)
-    | x :: rest -> take (x :: acc) rest
-  in
-  match take [] arena.extents with
-  | Some (base, chunk) ->
-    t.ph_bytes <- t.ph_bytes - (pages * page_size);
-    Some (base, chunk)
-  | None -> None
+  let found = Extents.alloc arena.extents ~pages in
+  if Option.is_some found then t.ph_bytes <- t.ph_bytes - (pages * page_size);
+  found
 
 (* Insert a freed run, coalescing with address-adjacent free neighbours of
    the same chunk; a chunk that coalesces back whole is unmapped. *)
-let insert_extent t arena ~base ~pages ~chunk =
+let insert_extent t arena ~base ~pages ~(chunk : chunk) =
   t.ph_bytes <- t.ph_bytes + (pages * page_size);
-  let extent = { x_base = base; x_pages = pages; x_chunk = chunk } in
-  let rec ins = function
-    | [] -> [ extent ]
-    | x :: rest when x.x_base < extent.x_base -> x :: ins rest
-    | rest -> extent :: rest
-  in
-  let merged =
-    let rec merge = function
-      | a :: b :: rest
-        when a.x_chunk == b.x_chunk && a.x_base + (a.x_pages * page_size) = b.x_base ->
-        merge ({ a with x_pages = a.x_pages + b.x_pages } :: rest)
-      | a :: rest -> a :: merge rest
-      | [] -> []
-    in
-    merge (ins arena.extents)
-  in
-  let whole, kept =
-    List.partition (fun x -> x.x_pages = x.x_chunk.c_pages) merged
-  in
-  arena.extents <- kept;
-  List.iter
-    (fun x ->
-      let c = x.x_chunk in
-      Vm.munmap t.vm c.c_base ~hugepages:c.c_hugepages;
-      t.ph_bytes <- t.ph_bytes - (c.c_pages * page_size);
-      arena.a_chunks <- List.filter (fun c' -> c' != c) arena.a_chunks)
-    whole
+  if Extents.free arena.extents ~base ~pages chunk then begin
+    Vm.munmap t.vm chunk.c_base ~hugepages:chunk.c_hugepages;
+    t.ph_bytes <- t.ph_bytes - (chunk.c_pages * page_size)
+  end
 
 let make_slab t arena cls =
   let obj = class_size cls in
@@ -635,7 +579,8 @@ let audit t =
       (Printf.sprintf "tcache holds %d B but slabs miss %d B" !fe !tcache_held);
   let ph = ref 0 in
   Array.iter
-    (fun arena -> List.iter (fun x -> ph := !ph + (x.x_pages * page_size)) arena.extents)
+    (fun arena ->
+      Extents.iter arena.extents (fun ~base:_ ~pages _ -> ph := !ph + (pages * page_size)))
     t.arenas;
   if !ph <> t.ph_bytes then
     add "filler-accounting"

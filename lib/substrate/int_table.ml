@@ -1,7 +1,7 @@
 (* Open-addressing int -> int hash table over unboxed Bigarray storage.
 
    The trace pipeline's tables (the recorder's addr -> id map, the codec's
-   live index, replay's id maps) are int-keyed, int-valued, and queried on
+   live index, replay's id -> handle map) are int-keyed, int-valued, and queried on
    every event.  [Hashtbl] costs a bucket-list allocation per [replace]
    and an option per [find_opt]; this table allocates nothing on any
    operation except a (rare) doubling.

@@ -2,7 +2,7 @@
     storage: no allocation on [mem]/[find]/[set]/[remove] (doublings
     aside), and the GC never scans the slots.  Used for the trace
     pipeline's id tables (the recorder's id map, the codec's live index,
-    replay's id -> address and id -> size maps).  Removal shifts later
+    replay's id -> handle map).  Removal shifts later
     entries back instead of leaving tombstones, so a table whose keys churn
     never rehashes at the same capacity.
 

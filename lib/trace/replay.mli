@@ -1,15 +1,22 @@
-(** Streaming trace replay.
+(** Trace replay.
 
-    Feeds a trace into a fresh allocator event by event, never
-    materializing the stream: memory use is the live-object id maps (two
-    {!Wsc_substrate.Int_table}s, id -> address and id -> size, with no
-    cell per object) plus one I/O block, so million-event traces replay in
-    memory bounded by the live set.
+    Every entry point compiles its event source once, a window at a time,
+    into a compact private stream in which a free names a dense handle
+    instead of an object id, and runs each arm from that stream: arms do
+    not decode the trace and keep no id table, only addresses and sizes in
+    two int arrays indexed by handle.  Memory is the decoder's live set,
+    one window of compiled stream (about 4 MiB, a constant) and the arm
+    states, independent of trace length.  The arms of a fan-out persist
+    across windows; a trace that compiles to one window (a 60 s spanner
+    recording compiles to 1.8 MB) holds at most [jobs] arm states at once.
 
     Replaying one trace under several configurations isolates the
     allocator's contribution exactly — every arm sees the identical
     allocation stream (the paper's paired-experiment methodology, minus
-    workload noise). *)
+    workload noise).  Every entry point returns what a replay of each arm
+    straight from the events returns, and raises the same errors
+    (test/test_replay.ml holds them against that reference,
+    test/replay_reference.ml). *)
 
 type result = {
   allocations : int;
@@ -53,11 +60,12 @@ val run_configs :
   configs:(string * Wsc_tcmalloc.Config.t) list ->
   string ->
   (string * result) list
-(** Replay one trace file under each named configuration, fanned across
-    the {!Wsc_substrate.Parallel} domain pool.  Each arm opens the file
-    independently and results preserve input order, so the output does
-    not depend on [jobs] ([multi-config deterministic] in
-    test/test_trace_stream.ml). *)
+(** Replay one trace file under each named configuration: one decode,
+    and each window's arms fanned across the {!Wsc_substrate.Parallel}
+    domain pool.  Results preserve input order, so the output does not
+    depend on [jobs] ([multi-config deterministic] in
+    test/test_trace_stream.ml).  With several arms failing, the first
+    arm's error is raised. *)
 
 val preload : string -> Wsc_workload.Trace.event array
 (** Decode a trace file once into an immutable in-memory event array.
@@ -80,5 +88,7 @@ val run_configs_preloaded :
   Wsc_workload.Trace.event array ->
   (string * result) list
 (** {!run_configs} over a preloaded array: the repeated-evaluation path
-    for search loops — one decode (and zero {!Wsc_substrate.Dist} table
-    builds) however many arms are fanned out. *)
+    for search loops — no file access, one compile (and zero
+    {!Wsc_substrate.Dist} table builds) however many arms are fanned
+    out.
+    @raise Invalid_argument if the array frees an id that is not live. *)

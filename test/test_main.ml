@@ -15,6 +15,7 @@ let () =
          Test_integration.suite;
          Test_trace.suite;
          Test_trace_stream.suite;
+         Test_replay.suite;
          Test_persist.suite;
          Test_properties.suite;
          Test_robustness.suite;

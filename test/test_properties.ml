@@ -322,6 +322,91 @@ let region_matches_reference =
         ops;
       !ok)
 
+(* The jemalloc arena's extent arrays against the list code they replaced
+   (extent_reference.ml), driven the way the model drives them: a first
+   fit of 1 to 1,100 pages (slabs, large runs, runs past one hugepage), a
+   fresh chunk mapped at a free address (so chunks arrive out of address
+   order) and allocated from when nothing fits, and frees of live runs in
+   any order, so runs coalesce on either side or both and chunks come
+   back whole.  Every allocation must return the same run and chunk,
+   every free must unmap the same chunks, and the extents must be equal
+   after every operation. *)
+let extents_match_reference =
+  let module E = Wsc_backend.Extents in
+  let module R = Extent_reference in
+  let page_size = 4096 and pages_per_hugepage = 512 in
+  QCheck.Test.make ~name:"extents_match_list_reference" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 300) (pair (int_range 0 99) (int_range 0 9999)))
+    (fun ops ->
+      let e = E.create ~page_size and r = R.create ~page_size in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let live = ref [] and used_slots = Hashtbl.create 16 in
+      let alloc pages =
+        let run = E.alloc e ~pages in
+        let same (a : (int * E.chunk) option) (b : (int * R.chunk) option) =
+          match (a, b) with
+          | Some (x, c), Some (y, d) -> x = y && c == d
+          | None, None -> true
+          | _ -> false
+        in
+        expect (same run (R.alloc r ~pages));
+        run
+      in
+      let listing iter =
+        let l = ref [] in
+        iter (fun ~base ~pages (c : E.chunk) -> l := (base, pages, c.E.c_base) :: !l);
+        !l
+      in
+      List.iter
+        (fun (op, p) ->
+          (if op < 55 then begin
+             let pages =
+               match p mod 4 with
+               | 0 -> 1 + (p mod 8)
+               | 1 -> 1 + (p mod 120)
+               | 2 -> 1 + (p mod 600)
+               | _ -> 1 + (p mod 1100)
+             in
+             let run =
+               match alloc pages with
+               | Some _ as run -> run
+               | None ->
+                 let hugepages = max 1 ((pages + pages_per_hugepage - 1) / pages_per_hugepage) in
+                 let slot = ref (p mod 64) in
+                 while Hashtbl.mem used_slots !slot do
+                   slot := (!slot + 1) mod 1024
+                 done;
+                 Hashtbl.replace used_slots !slot ();
+                 let chunk =
+                   {
+                     E.c_base = !slot * 4 * pages_per_hugepage * page_size;
+                     c_hugepages = hugepages;
+                     c_pages = hugepages * pages_per_hugepage;
+                   }
+                 in
+                 E.add_chunk e chunk;
+                 R.add_chunk r chunk;
+                 alloc pages
+             in
+             match run with
+             | Some (base, chunk) -> live := (base, pages, chunk) :: !live
+             | None -> expect false
+           end
+           else
+             match !live with
+             | [] -> ()
+             | l ->
+               let ((base, pages, chunk) as run) = List.nth l (p mod List.length l) in
+               live := List.filter (fun x -> x != run) l;
+               let whole = E.free e ~base ~pages chunk in
+               let unmapped = R.free r ~base ~pages chunk in
+               expect (unmapped = if whole then [ chunk ] else []);
+               if whole then Hashtbl.remove used_slots (chunk.E.c_base / (4 * pages_per_hugepage * page_size)));
+          expect (listing (E.iter e) = listing (R.iter r)))
+        ops;
+      !ok)
+
 (* Lazy span carving against the eager slot stack it replaced: every slot
    index pushed up front, highest first, so pops run from the span base up
    and returned slots come back most recent first.  The model also keeps
@@ -464,6 +549,7 @@ let suite =
         qcheck filler_accounting;
         qcheck filler_matches_reference;
         qcheck region_matches_reference;
+        qcheck extents_match_reference;
         qcheck span_matches_eager_model;
         qcheck no_overlapping_objects;
       ] );

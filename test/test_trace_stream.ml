@@ -43,6 +43,35 @@ let test_crc32_vector () =
   check_int "incremental = one-shot" (Crc32.bytes b) piecewise;
   check_int "empty" 0 (Crc32.string "")
 
+(* Slicing-by-8 against the bytewise reference (crc32_reference.ml):
+   random buffers, every start offset mod 8 and every length from 0 to 64
+   (so every split between eight-byte steps and the bytewise tail), a
+   random cut into chained [update] calls, and one 5 MiB buffer. *)
+let test_crc32_matches_bytewise =
+  qcheck
+    (QCheck.Test.make ~name:"crc32_matches_bytewise_reference" ~count:200
+       QCheck.(pair (string_of_size (Gen.int_range 72 200)) (pair small_nat small_nat))
+       (fun (s, (seed, cut)) ->
+         let b = Bytes.of_string s in
+         let ok = ref true in
+         for pos = 0 to 7 do
+           for len = 0 to 64 do
+             let crc = (seed * 0x9E3779B1) land 0xFFFFFFFF in
+             if Crc32.update crc b ~pos ~len <> Crc32_reference.update crc b ~pos ~len then
+               ok := false;
+             let k = cut mod (len + 1) in
+             let chained = Crc32.update (Crc32.update 0 b ~pos ~len:k) b ~pos:(pos + k) ~len:(len - k) in
+             if chained <> Crc32_reference.update 0 b ~pos ~len then ok := false
+           done
+         done;
+         !ok))
+
+let test_crc32_large_buffer () =
+  let rng = Rng.create 5 in
+  let b = Bytes.init (5 lsl 20) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let len = Bytes.length b - 3 in
+  check_int "5 MiB buffer" (Crc32_reference.update 0 b ~pos:3 ~len) (Crc32.update 0 b ~pos:3 ~len)
+
 (* {1 Live_index} *)
 
 (* Encoder and decoder indexes stay in lockstep: ranks produced by one are
@@ -615,6 +644,8 @@ let suite =
     ( "trace_stream_codec",
       [
         Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
+        test_crc32_matches_bytewise;
+        Alcotest.test_case "crc32 large buffer" `Quick test_crc32_large_buffer;
         test_live_index_lockstep;
         Alcotest.test_case "live index compaction" `Quick test_live_index_compaction;
         test_codec_roundtrip;
