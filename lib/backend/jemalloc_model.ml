@@ -23,6 +23,8 @@
    telemetry is not recorded (remote_reuse_fraction reads 0). *)
 
 module Clock = Wsc_substrate.Clock
+module Int_table = Wsc_substrate.Int_table
+module Records = Wsc_substrate.Records
 module Vm = Wsc_os.Vm
 module Vcpu = Wsc_os.Vcpu
 module Cost = Wsc_hw.Cost_model
@@ -119,7 +121,8 @@ type t = {
   vcpus : Vcpu.t;
   tel : Telemetry.t;
   arenas : arena array;
-  page_map : (addr, slab) Hashtbl.t;  (* page base -> owning slab *)
+  page_map : Int_table.t;  (* page base -> index of the owning slab in [slabs] *)
+  slabs : slab Records.t;  (* live slabs *)
   larges : (addr, large) Hashtbl.t;
   mutable tcaches : tcache option array;  (* indexed by vCPU id *)
   (* Tier byte counters (audited against full walks). *)
@@ -136,6 +139,23 @@ let new_arena i =
     nonfull = Array.make class_count [];
   }
 
+(* Fills the [slabs] entries no slab holds. *)
+let no_slab =
+  {
+    s_base = -1;
+    s_pages = 0;
+    s_cls = 0;
+    s_obj = 1;
+    s_cap = 0;
+    s_slack = 0;
+    s_arena = 0;
+    s_chunk = { Extents.c_base = -1; c_hugepages = 0; c_pages = 0 };
+    taken = [||];
+    free_stack = [||];
+    n_free = 0;
+    state = Sl_dead;
+  }
+
 let create ?(config = Config.baseline) ~topology ~clock () =
   {
     config;
@@ -145,7 +165,8 @@ let create ?(config = Config.baseline) ~topology ~clock () =
     vcpus = Vcpu.create ();
     tel = Telemetry.create ();
     arenas = Array.init num_arenas new_arena;
-    page_map = Hashtbl.create 1024;
+    page_map = Int_table.create ~initial_capacity:1024 ();
+    slabs = Records.create ~dummy:no_slab;
     larges = Hashtbl.create 64;
     tcaches = [||];
     fe_bytes = 0;
@@ -174,6 +195,10 @@ let tcache_for t vcpu =
 
 let charge t tier = Telemetry.charge_tier t.tel tier (Cost.tier_hit_ns tier)
 let arena_of t vcpu = t.arenas.(vcpu mod num_arenas)
+let page_of addr = addr land lnot (page_size - 1)
+
+(* The slab holding a cached or live object's address. *)
+let slab_of t addr = Records.get t.slabs (Int_table.find t.page_map (page_of addr) ~default:(-1))
 
 (* Fresh chunk for an arena; its whole page run becomes one free extent,
    which the caller allocates from next. *)
@@ -234,8 +259,9 @@ let make_slab t arena cls =
       state = Sl_current;
     }
   in
+  let index = Records.add t.slabs slab in
   for p = 0 to pages - 1 do
-    Hashtbl.replace t.page_map (base + (p * page_size)) slab
+    Int_table.set t.page_map (base + (p * page_size)) index
   done;
   t.cfl_bytes <- t.cfl_bytes + bytes;
   (slab, tier)
@@ -243,8 +269,9 @@ let make_slab t arena cls =
 let release_slab t slab =
   let arena = t.arenas.(slab.s_arena) in
   slab.state <- Sl_dead;
+  Records.remove t.slabs (Int_table.find t.page_map slab.s_base ~default:(-1));
   for p = 0 to slab.s_pages - 1 do
-    Hashtbl.remove t.page_map (slab.s_base + (p * page_size))
+    Int_table.remove t.page_map (slab.s_base + (p * page_size))
   done;
   t.cfl_bytes <- t.cfl_bytes - (slab.s_pages * page_size);
   insert_extent t arena ~base:slab.s_base ~pages:slab.s_pages ~chunk:slab.s_chunk
@@ -302,7 +329,7 @@ let flush_tcache_class t tc cls =
   let stack = tc.stacks.(cls) and obj = class_size cls in
   for i = 0 to tc.counts.(cls) - 1 do
     let addr = stack.(i) in
-    let slab = Hashtbl.find t.page_map (addr land lnot (page_size - 1)) in
+    let slab = slab_of t addr in
     push_to_slab t slab ((addr - slab.s_base) / slab.s_obj)
   done;
   let bytes = tc.counts.(cls) * obj in
@@ -320,7 +347,7 @@ let alloc_small t vcpu cls =
     tc.counts.(cls) <- count - 1;
     t.fe_bytes <- t.fe_bytes - class_size cls;
     (* Re-arm the taken bit: the object leaves the cache for the app. *)
-    let slab = Hashtbl.find t.page_map (addr land lnot (page_size - 1)) in
+    let slab = slab_of t addr in
     slab.taken.((addr - slab.s_base) / slab.s_obj) <- true;
     addr
   end
@@ -343,7 +370,7 @@ let alloc_small t vcpu cls =
          let addr, tier = slab_pop t arena cls in
          if Cost.tier_hit_ns tier > Cost.tier_hit_ns !deepest then deepest := tier;
          (* Parked objects are not live with the app. *)
-         let slab = Hashtbl.find t.page_map (addr land lnot (page_size - 1)) in
+         let slab = slab_of t addr in
          slab.taken.((addr - slab.s_base) / slab.s_obj) <- false;
          tc.stacks.(cls).(tc.counts.(cls)) <- addr;
          tc.counts.(cls) <- tc.counts.(cls) + 1;
@@ -358,11 +385,9 @@ let alloc_small t vcpu cls =
   end
 
 let free_small t vcpu cls addr =
-  let slab =
-    match Hashtbl.find_opt t.page_map (addr land lnot (page_size - 1)) with
-    | Some slab -> slab
-    | None -> invalid_arg (Printf.sprintf "Jemalloc_model.free: wild pointer 0x%x" addr)
-  in
+  let index = Int_table.find t.page_map (page_of addr) ~default:(-1) in
+  if index < 0 then invalid_arg (Printf.sprintf "Jemalloc_model.free: wild pointer 0x%x" addr);
+  let slab = Records.get t.slabs index in
   if slab.s_cls <> cls then
     invalid_arg (Printf.sprintf "Jemalloc_model.free: size-class mismatch at 0x%x" addr);
   let off = addr - slab.s_base in
@@ -542,14 +567,10 @@ let clock t = t.clock
 let audit t =
   let violations = ref [] in
   let add check detail = violations := { Audit.check; detail } :: !violations in
-  (* The page map holds one entry per slab page; walk distinct slabs. *)
-  let seen = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun _ slab -> if not (Hashtbl.mem seen slab.s_base) then Hashtbl.replace seen slab.s_base slab)
-    t.page_map;
   let cfl = ref 0 and tcache_held = ref 0 and spans_walked = ref 0 in
-  Hashtbl.iter
-    (fun _ slab ->
+  (* In address order, so the violations come in a fixed order. *)
+  List.iter
+    (fun slab ->
       incr spans_walked;
       cfl := !cfl + (slab.n_free * slab.s_obj) + slab.s_slack;
       let taken = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 slab.taken in
@@ -559,7 +580,7 @@ let audit t =
           (Printf.sprintf "slab 0x%x: taken %d + free %d exceeds capacity %d" slab.s_base
              taken slab.n_free slab.s_cap);
       tcache_held := !tcache_held + (held * slab.s_obj))
-    seen;
+    (List.sort (fun a b -> Int.compare a.s_base b.s_base) (Records.to_list t.slabs));
   if !cfl <> t.cfl_bytes then
     add "cfl-accounting" (Printf.sprintf "slab walk %d B <> counter %d B" !cfl t.cfl_bytes);
   let fe = ref 0 in

@@ -25,6 +25,8 @@
    are no background threads — everything runs inline and deterministic. *)
 
 module Clock = Wsc_substrate.Clock
+module Int_table = Wsc_substrate.Int_table
+module Records = Wsc_substrate.Records
 module Vm = Wsc_os.Vm
 module Vcpu = Wsc_os.Vcpu
 module Cost = Wsc_hw.Cost_model
@@ -96,7 +98,8 @@ type t = {
   vm : Vm.t;
   vcpus : Vcpu.t;
   tel : Telemetry.t;
-  spans : (addr, span) Hashtbl.t;  (* span base -> live class span *)
+  spans : Int_table.t;  (* span base -> index of the live class span in [span_recs] *)
+  span_recs : span Records.t;
   larges : (addr, large_run) Hashtbl.t;  (* span-run base -> run *)
   huges : (addr, int) Hashtbl.t;  (* dedicated-map base -> hugepages *)
   mutable chunks : chunk list;  (* ascending base order *)
@@ -111,6 +114,25 @@ type t = {
   mutable ph_bytes : int;  (* free span bytes: caches + chunk free slots *)
 }
 
+(* Fills the [span_recs] entries no span holds. *)
+let no_span =
+  {
+    sp_base = -1;
+    sp_chunk = { c_base = -1; c_free_mask = 0; c_free_spans = 0 };
+    sp_cls = 0;
+    sp_obj = 1;
+    sp_cap = 0;
+    sp_slack = 0;
+    taken = [||];
+    free_stack = [||];
+    n_free = 0;
+    deferred = [];
+    n_deferred = 0;
+    owner = -1;
+    state = Sp_dead;
+    recycled = 0;
+  }
+
 let create ?(config = Config.baseline) ~topology ~clock () =
   let vm = Vm.create () in
   {
@@ -120,7 +142,8 @@ let create ?(config = Config.baseline) ~topology ~clock () =
     vm;
     vcpus = Vcpu.create ();
     tel = Telemetry.create ();
-    spans = Hashtbl.create 256;
+    spans = Int_table.create ~initial_capacity:256 ();
+    span_recs = Records.create ~dummy:no_span;
     larges = Hashtbl.create 64;
     huges = Hashtbl.create 16;
     chunks = [];
@@ -240,7 +263,7 @@ let make_span t ~cls ~owner (base, chunk) =
       recycled = 0;
     }
   in
-  Hashtbl.replace t.spans base span;
+  Int_table.set t.spans base (Records.add t.span_recs span);
   t.ph_bytes <- t.ph_bytes - span_size;
   t.fe_bytes <- t.fe_bytes + (cap * obj);
   t.slack_bytes <- t.slack_bytes + slack;
@@ -249,7 +272,8 @@ let make_span t ~cls ~owner (base, chunk) =
 (* A fully-free span leaves the class machinery: heap cache, then global
    cache, then back to its chunk. *)
 let release_span t span =
-  Hashtbl.remove t.spans span.sp_base;
+  Records.remove t.span_recs (Int_table.find t.spans span.sp_base ~default:(-1));
+  Int_table.remove t.spans span.sp_base;
   t.fe_bytes <- t.fe_bytes - (span.sp_cap * span.sp_obj);
   t.slack_bytes <- t.slack_bytes - span.sp_slack;
   t.ph_bytes <- t.ph_bytes + span_size;
@@ -455,34 +479,35 @@ let malloc_attempt t ~cpu ~size =
   Telemetry.record_alloc t.tel ~requested:size ~rounded:(rounded_of_size size);
   addr
 
+(* The live class spans in address order, so a walk over them never
+   depends on where [span_recs] put them. *)
+let spans_by_base t =
+  List.sort (fun a b -> Int.compare a.sp_base b.sp_base) (Records.to_list t.span_recs)
+
 (* Reclaim sweep: adopt every deferred free, release every fully-free
    span (actives included), flush the span caches back to chunks, unmap
-   empty chunks.  Span bases are sorted so the sweep order never depends
-   on hash-table internals. *)
+   empty chunks.  Spans are swept in address order; releasing one never
+   releases another. *)
 let release_memory t ~target_bytes =
   if target_bytes <= 0 then
     { Malloc.front_end_bytes = 0; transfer_bytes = 0; cfl_span_bytes = 0; os_released_bytes = 0 }
   else begin
     let before = Vm.resident_bytes t.vm in
     let transfer = ref 0 and span_bytes = ref 0 in
-    let bases = Hashtbl.fold (fun base _ acc -> base :: acc) t.spans [] in
     List.iter
-      (fun base ->
-        match Hashtbl.find_opt t.spans base with
-        | None -> ()
-        | Some span ->
-          transfer := !transfer + (span.n_deferred * span.sp_obj);
-          drain_deferred t span;
-          if span.n_free = span.sp_cap then begin
-            if span.state = Sp_active then begin
-              let heap = heap_for t span.owner in
-              heap.h_active.(span.sp_cls) <- None
-            end;
-            span.state <- Sp_partial;
-            span_bytes := !span_bytes + span_size;
-            release_span t span
-          end)
-      (List.sort compare bases);
+      (fun span ->
+        transfer := !transfer + (span.n_deferred * span.sp_obj);
+        drain_deferred t span;
+        if span.n_free = span.sp_cap then begin
+          if span.state = Sp_active then begin
+            let heap = heap_for t span.owner in
+            heap.h_active.(span.sp_cls) <- None
+          end;
+          span.state <- Sp_partial;
+          span_bytes := !span_bytes + span_size;
+          release_span t span
+        end)
+      (spans_by_base t);
     Array.iter
       (fun heap ->
         List.iter (fun (base, chunk) -> return_span_to_chunk t base chunk) heap.h_cache;
@@ -526,16 +551,14 @@ let malloc t ~cpu ~size =
 let free t ~cpu addr ~size =
   if size <= 0 then invalid_arg "Rpmalloc_model.free: size must be positive";
   if size <= medium_max then begin
-    let base = addr land lnot (span_size - 1) in
-    match Hashtbl.find_opt t.spans base with
-    | Some span ->
-      if span.sp_cls <> class_of_size size then
-        invalid_arg
-          (Printf.sprintf "Rpmalloc_model.free: size-class mismatch at 0x%x" addr);
-      let vcpu = Vcpu.acquire t.vcpus ~phys_cpu:cpu in
-      free_small t span vcpu addr
-    | None ->
-      invalid_arg (Printf.sprintf "Rpmalloc_model.free: wild pointer 0x%x" addr)
+    let index = Int_table.find t.spans (addr land lnot (span_size - 1)) ~default:(-1) in
+    if index < 0 then
+      invalid_arg (Printf.sprintf "Rpmalloc_model.free: wild pointer 0x%x" addr);
+    let span = Records.get t.span_recs index in
+    if span.sp_cls <> class_of_size size then
+      invalid_arg (Printf.sprintf "Rpmalloc_model.free: size-class mismatch at 0x%x" addr);
+    let vcpu = Vcpu.acquire t.vcpus ~phys_cpu:cpu in
+    free_small t span vcpu addr
   end
   else if size <= chunk_bytes then begin
     match Hashtbl.find_opt t.larges addr with
@@ -640,8 +663,8 @@ let audit t =
   let violations = ref [] in
   let add check detail = violations := { Audit.check; detail } :: !violations in
   let fe = ref 0 and def = ref 0 and slack = ref 0 and spans_walked = ref 0 in
-  Hashtbl.iter
-    (fun _ span ->
+  List.iter
+    (fun span ->
       incr spans_walked;
       fe := !fe + (span.n_free * span.sp_obj);
       def := !def + (span.n_deferred * span.sp_obj);
@@ -652,7 +675,7 @@ let audit t =
           (Printf.sprintf
              "span 0x%x: %d taken + %d free + %d deferred <> capacity %d" span.sp_base
              taken span.n_free span.n_deferred span.sp_cap))
-    t.spans;
+    (spans_by_base t);
   if !fe <> t.fe_bytes then
     add "front-end-accounting"
       (Printf.sprintf "free-stack walk %d B <> counter %d B" !fe t.fe_bytes);

@@ -59,23 +59,27 @@ let create ?(initial_capacity = 16) () =
 
 let length t = t.live
 
-(* Find the slot holding [key], or -1. *)
+(* Find the slot holding [key], or -1.  A reserved key is never held: the
+   empty-slot marker would otherwise match the first empty slot probed. *)
 let[@inline] probe_find t key =
-  let keys = t.keys in
-  let mask = t.mask in
-  let i = ref (slot_of_key t key) in
-  let found = ref (-1) in
-  let continue = ref true in
-  while !continue do
-    let k = Array1.unsafe_get keys !i in
-    if k = key then begin
-      found := !i;
-      continue := false
-    end
-    else if k = empty_key then continue := false
-    else i := (!i + 1) land mask
-  done;
-  !found
+  if key <= reserved_key then -1
+  else begin
+    let keys = t.keys in
+    let mask = t.mask in
+    let i = ref (slot_of_key t key) in
+    let found = ref (-1) in
+    let continue = ref true in
+    while !continue do
+      let k = Array1.unsafe_get keys !i in
+      if k = key then begin
+        found := !i;
+        continue := false
+      end
+      else if k = empty_key then continue := false
+      else i := (!i + 1) land mask
+    done;
+    !found
+  end
 
 let mem t key = probe_find t key >= 0
 

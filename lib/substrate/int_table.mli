@@ -7,7 +7,8 @@
     never rehashes at the same capacity.
 
     Keys must be greater than [min_int + 1]; the two smallest ints are
-    reserved (one marks empty slots). *)
+    reserved (one marks empty slots).  [set] rejects them, and [mem],
+    [find] and [remove] treat them as absent. *)
 
 type t
 

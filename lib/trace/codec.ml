@@ -97,6 +97,14 @@ let get_fixed64 b ~limit pos =
 (* previous dt bits, the live-object order statistics); the context    *)
 (* spans blocks, so blocks are an integrity boundary, not a decode     *)
 (* restart point.                                                      *)
+(*                                                                     *)
+(* Cost per event (bounds in live_index.mli): an Advance or Retire is  *)
+(* O(1); an Alloc is amortized O(1) while ids only increase, as a      *)
+(* recorded trace's do; a free's rank counts live objects from the     *)
+(* newest down, so a small rank costs a word or two of bitmap.  The    *)
+(* decoder hashes no id until an Alloc's id does not exceed every      *)
+(* earlier one; the encoder looks each freed id up once in an          *)
+(* id -> slot table, which each Alloc then also updates.               *)
 (* ------------------------------------------------------------------ *)
 
 type context = {
@@ -156,10 +164,18 @@ let encode ctx buf (ev : Event.event) =
     Live_index.append ctx.live id
   | Event.Free { id; cpu } ->
     if cpu < 0 then invalid_arg "Wsc_trace: encode: negative cpu";
-    if reserved_id id || not (Live_index.mem ctx.live id) then
-      invalid_arg (Printf.sprintf "Wsc_trace: encode: free of unknown id %d" id);
+    (* One lookup: [remove_rank] refuses an id that is not live before it
+       changes anything, and no reserved id is ever live.  Any other
+       refusal is the index's own fault and passes through. *)
+    let rank =
+      match Live_index.remove_rank ctx.live id with
+      | rank -> rank
+      | exception (Invalid_argument _ as e) ->
+        if Live_index.mem ctx.live id then raise e
+        else invalid_arg (Printf.sprintf "Wsc_trace: encode: free of unknown id %d" id)
+    in
     put_byte0 buf ~tag:2 ~cpu;
-    put_uvarint buf (Live_index.remove_rank ctx.live id)
+    put_uvarint buf rank
   | Event.Advance { dt_ns } ->
     if dt_ns < 0.0 || Float.is_nan dt_ns then
       invalid_arg "Wsc_trace: encode: negative dt";

@@ -8,6 +8,7 @@ open Wsc_substrate
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 (* {1 Calendar vs Event_heap_reference} *)
 
@@ -406,6 +407,19 @@ let int_table_wrapped_cluster_removal () =
         keys)
     keys
 
+let int_table_reserved_keys_absent () =
+  (* The empty-slot marker must not match an empty slot. *)
+  let t = Int_table.create () in
+  Int_table.set t 5 50;
+  List.iter
+    (fun key ->
+      check_bool (Printf.sprintf "mem %d" key) false (Int_table.mem t key);
+      check_int (Printf.sprintf "find %d" key) (-1) (Int_table.find t key ~default:(-1));
+      Int_table.remove t key;
+      check_int (Printf.sprintf "length after remove %d" key) 1 (Int_table.length t))
+    [ min_int; min_int + 1 ];
+  check_int "key 5 kept" 50 (Int_table.find t 5 ~default:(-1))
+
 let int_table_tombstone_churn () =
   (* Set/remove cycling through a fixed key range: every removal must
      leave the table as if the key was never set. *)
@@ -454,5 +468,6 @@ let suite =
           Alcotest.test_case "tombstone churn" `Quick int_table_tombstone_churn;
           qcheck int_table_delete_heavy_wrapping;
           Alcotest.test_case "wrapped cluster removal" `Quick int_table_wrapped_cluster_removal;
+          Alcotest.test_case "reserved keys absent" `Quick int_table_reserved_keys_absent;
         ] );
     ]

@@ -152,6 +152,196 @@ let test_live_index_compaction () =
   check_bool "old id gone" false (Live_index.mem t 0);
   check_bool "recent id live" true (Live_index.mem t 99_999)
 
+(* {2 Against the reference index}
+
+   The index before its bitmap rewrite (live_index_reference.ml) and the
+   current one, each kept twice in lockstep as the codec keeps them: an
+   encoder side that frees by id ([remove_rank]) and a decoder side that
+   frees by rank ([remove_select]).  Every op's result or Invalid_argument
+   message, every [mem] answer and then every [length] must agree across
+   all four, except that until [switch_at] the decoder pair is asked [mem]
+   only of ids above every appended one, as a decoder of increasing ids
+   asks, so it never builds its id table.  A stream grows its live set to
+   [peak], churns at about that size (so the slot array compacts as well
+   as grows), then drains to empty.  Free ranks favour the newest objects,
+   as real traces do, but also reach the oldest one and past the end.  Ids
+   increase until [switch_at], then follow [after]:
+   - [`Any]: random, negative, reused after a free, or the last one
+     appended (often still live);
+   - [`Remap]: the salvage decoder's pattern after a skipped block: ids
+     count up from a stale base, and one that is negative or still live is
+     replaced by a fresh id above every earlier one. *)
+
+module Ref_index = Live_index_reference
+
+type ref_quad = {
+  n_enc : Live_index.t;
+  r_enc : Ref_index.t;
+  n_dec : Live_index.t;
+  r_dec : Ref_index.t;
+}
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let show_outcome = function Ok v -> string_of_int v | Error m -> "Invalid_argument " ^ m
+
+let run_reference_stream ~seed ~peak ~switch_at ~after =
+  let rand = Random.State.make [| seed |] in
+  let int n = Random.State.full_int rand n in
+  let q =
+    {
+      n_enc = Live_index.create ();
+      r_enc = Ref_index.create ();
+      n_dec = Live_index.create ();
+      r_dec = Ref_index.create ();
+    }
+  in
+  let step = ref 0 in
+  let max_id = ref (int 200_000 - 100_000) in
+  let agree what a b =
+    if a <> b then
+      QCheck.Test.fail_reportf "seed %d op %d, %s: %s <> %s" seed !step what (show_outcome a)
+        (show_outcome b)
+  in
+  (* Whether the id was accepted. *)
+  let append id =
+    let what = Printf.sprintf "append %d" id in
+    let unit f = Result.map (fun () -> 0) (outcome f) in
+    let o = unit (fun () -> Live_index.append q.n_dec id) in
+    agree what o (unit (fun () -> Ref_index.append q.r_dec id));
+    agree what o (unit (fun () -> Live_index.append q.n_enc id));
+    agree what o (unit (fun () -> Ref_index.append q.r_enc id));
+    Result.is_ok o
+  in
+  (* Free at rank [k] on the decoder side; the encoder side must give the
+     freed id back that rank. *)
+  let free_rank k =
+    let o = outcome (fun () -> Live_index.remove_select q.n_dec k) in
+    agree (Printf.sprintf "remove_select %d" k) o
+      (outcome (fun () -> Ref_index.remove_select q.r_dec k));
+    match o with
+    | Ok id ->
+      let what = Printf.sprintf "remove_rank %d" id in
+      agree what (Ok k) (outcome (fun () -> Live_index.remove_rank q.n_enc id));
+      agree what (Ok k) (outcome (fun () -> Ref_index.remove_rank q.r_enc id));
+      Some id
+    | Error _ -> None
+  in
+  (* Free [id], which may not be live, on the encoder side first. *)
+  let free_id id =
+    let o = outcome (fun () -> Live_index.remove_rank q.n_enc id) in
+    agree (Printf.sprintf "remove_rank %d" id) o
+      (outcome (fun () -> Ref_index.remove_rank q.r_enc id));
+    match o with
+    | Ok k ->
+      let what = Printf.sprintf "remove_select %d" k in
+      agree what (Ok id) (outcome (fun () -> Live_index.remove_select q.n_dec k));
+      agree what (Ok id) (outcome (fun () -> Ref_index.remove_select q.r_dec k))
+    | Error _ -> ()
+  in
+  let mem id =
+    let b = Live_index.mem q.n_enc id in
+    let what = Printf.sprintf "mem %d" id in
+    let o = Ok (Bool.to_int b) in
+    agree what o (Ok (Bool.to_int (Ref_index.mem q.r_enc id)));
+    if !step >= switch_at || id > !max_id then begin
+      agree what o (Ok (Bool.to_int (Live_index.mem q.n_dec id)));
+      agree what o (Ok (Bool.to_int (Ref_index.mem q.r_dec id)))
+    end;
+    b
+  in
+  let last_id = ref !max_id and last_freed = ref !max_id in
+  let stale = ref 0 in
+  let fresh () =
+    (* Mostly the next ordinal, sometimes a jump. *)
+    max_id := !max_id + 1 + (if int 20 = 0 then int 1_000_000 else 0);
+    !max_id
+  in
+  let next_id () =
+    if !step < switch_at then fresh ()
+    else
+      match after with
+      | `Any -> (
+        match int 10 with
+        | 0 | 1 | 2 | 3 -> fresh ()
+        | 4 | 5 | 6 -> int 2_000_001 - 1_000_000
+        | 7 | 8 -> !last_freed
+        | _ -> !last_id)
+      | `Remap ->
+        incr stale;
+        if !stale < 0 || mem !stale then fresh () else !stale
+  in
+  let rank n =
+    match int 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 -> int (min 8 n)
+    | 9 | 10 | 11 | 12 | 13 -> int (min 128 n)
+    | 14 | 15 | 16 -> int n
+    | 17 | 18 -> n - 1
+    | _ -> if int 2 = 0 then n else -1 - int 3
+  in
+  let op ~p_alloc =
+    if !step = switch_at then stale := !max_id - int (abs !max_id + 3_000);
+    let n = Live_index.length q.n_dec in
+    if n = 0 || int 100 < p_alloc then begin
+      let id = next_id () in
+      (* A refused append leaves the last live id as it was. *)
+      if append id then last_id := id
+    end
+    else if int 10 = 0 then free_id (if int 2 = 0 then !last_id else !max_id - int 64)
+    else Option.iter (fun id -> last_freed := id) (free_rank (rank n));
+    ignore
+      (mem
+         (match int 4 with
+         | 0 -> !max_id - int 64
+         | 1 -> !max_id - int (abs !max_id + 1)
+         | 2 -> !max_id + 1 + int 1_000
+         | _ -> !last_id));
+    let len = Live_index.length q.n_dec in
+    agree "length" (Ok len) (Ok (Ref_index.length q.r_dec));
+    agree "length" (Ok len) (Ok (Live_index.length q.n_enc));
+    agree "length" (Ok len) (Ok (Ref_index.length q.r_enc));
+    incr step
+  in
+  while Live_index.length q.n_dec < peak do
+    op ~p_alloc:65
+  done;
+  for _ = 1 to peak / 2 do
+    op ~p_alloc:50
+  done;
+  while Live_index.length q.n_dec > 0 do
+    op ~p_alloc:20
+  done;
+  true
+
+let test_live_index_matches_reference =
+  qcheck
+    (QCheck.Test.make ~name:"live_index_matches_reference" ~count:50
+       (* No shrinking: a failure reports its seed and op, and each
+          shrink step would replay a whole stream. *)
+       (QCheck.make
+          ~print:QCheck.Print.(quad int int int int)
+          QCheck.Gen.(
+            quad int (oneofl [ 64; 2_000; 10_000 ]) (int_bound 2) (int_bound 100_000)))
+       (fun (seed, scale, regime, switch) ->
+         let peak = 1 + (abs seed mod scale) in
+         let switch_at, after =
+           match regime with
+           | 0 -> (max_int, `Any)
+           | 1 -> (switch mod (3 * peak), `Any)
+           | _ -> (switch mod (3 * peak), `Remap)
+         in
+         run_reference_stream ~seed ~peak ~switch_at ~after))
+
+(* Increasing ids past 64K live: every block, group and capacity boundary
+   up to 2^17 slots, with the decoder side never building its id table. *)
+let test_live_index_matches_reference_large =
+  qcheck
+    (QCheck.Test.make ~name:"live_index_matches_reference_large" ~count:1
+       (QCheck.make ~print:QCheck.Print.int QCheck.Gen.int)
+       (fun seed ->
+         run_reference_stream ~seed ~peak:(65_600 + (abs seed mod 4_000)) ~switch_at:max_int
+           ~after:`Any))
+
 (* {1 Codec round-trip} *)
 
 let pp_event = function
@@ -253,11 +443,14 @@ let test_writer_rejects_invalid () =
                Writer.add w (Trace.Alloc { id = 1; size = 8; cpu = 0 });
                false
              with Invalid_argument _ -> true);
-          check_bool "unknown free rejected" true
-            (try
-               Writer.add w (Trace.Free { id = 99; cpu = 0 });
-               false
-             with Invalid_argument _ -> true);
+          let free_error id =
+            try
+              Writer.add w (Trace.Free { id; cpu = 0 });
+              "accepted"
+            with Invalid_argument msg -> msg
+          in
+          Alcotest.(check string)
+            "unknown free rejected" "Wsc_trace: encode: free of unknown id 99" (free_error 99);
           List.iter
             (fun id ->
               Alcotest.(check string)
@@ -267,11 +460,10 @@ let test_writer_rejects_invalid () =
                    Writer.add w (Trace.Alloc { id; size = 8; cpu = 0 });
                    "accepted"
                  with Invalid_argument msg -> msg);
-              check_bool "free of a reserved id rejected" true
-                (try
-                   Writer.add w (Trace.Free { id; cpu = 0 });
-                   false
-                 with Invalid_argument _ -> true))
+              Alcotest.(check string)
+                "free of a reserved id rejected"
+                (Printf.sprintf "Wsc_trace: encode: free of unknown id %d" id)
+                (free_error id))
             [ min_int; min_int + 1 ]))
 
 (* {1 Corruption detection} *)
@@ -648,6 +840,8 @@ let suite =
         Alcotest.test_case "crc32 large buffer" `Quick test_crc32_large_buffer;
         test_live_index_lockstep;
         Alcotest.test_case "live index compaction" `Quick test_live_index_compaction;
+        test_live_index_matches_reference;
+        test_live_index_matches_reference_large;
         test_codec_roundtrip;
         Alcotest.test_case "extreme values roundtrip" `Quick test_codec_roundtrip_extremes;
         Alcotest.test_case "writer rejects invalid" `Quick test_writer_rejects_invalid;
