@@ -46,7 +46,7 @@ let default_jobs () =
    [WSC_DOMAINS] request.  On a single-core host, extra domains only add
    scheduling churn and minor-heap pressure — [map] bypasses the pool
    there, which keeps results identical (the map contract is
-   order-deterministic) while reporting the truth via {!host_cores}. *)
+   order-deterministic). *)
 let host_cores () = max 1 (Domain.recommended_domain_count ())
 
 (* One batch at a time may drive the pool; a [map] issued from inside a

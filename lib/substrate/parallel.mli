@@ -20,16 +20,12 @@
     CLI flag), the [WSC_DOMAINS] environment variable, and
     [Domain.recommended_domain_count ()].  [jobs = 1] (or singleton inputs)
     bypasses the pool entirely and runs in the calling domain — the
-    reference the parallel tests compare N-domain runs against.  Nested [map] calls from inside a task
-    degrade to sequential execution instead of deadlocking. *)
-
-val host_cores : unit -> int
-(** Physical parallelism available on this host
-    ([Domain.recommended_domain_count], floored at 1).  When this is 1,
-    {!map} runs every batch on the calling domain regardless of [?jobs] —
+    reference the parallel tests compare N-domain runs against.  So does
+    any [jobs] on a host whose [Domain.recommended_domain_count] is 1:
     spawning domains a single core must time-slice only adds overhead, and
-    the map contract makes the results identical either way.  Benchmarks
-    should report this alongside any speedup claim. *)
+    the map contract makes the results identical either way.  Nested [map]
+    calls from inside a task degrade to sequential execution instead of
+    deadlocking. *)
 
 val default_jobs : unit -> int
 (** The job count a [map] without [?jobs] will use: [--jobs] override if

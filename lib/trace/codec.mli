@@ -96,10 +96,12 @@ val decode : context -> bytes -> limit:int -> int ref -> Event.event
     stale for every block after the damage.  {!decode_salvage} decodes
     through that staleness without ever emitting a semantically invalid
     event; on an undamaged stream it yields exactly what {!decode} would
-    (the lenient branches are unreachable then). *)
+    (the lenient branches are unreachable then; "recorded corpus flip
+    sweep" in test/test_salvage.ml compares the two on a recorded
+    corpus). *)
 
 type salvage_outcome =
-  | S_event of Event.event  (** Decoded exactly as strict {!decode} would. *)
+  | S_event of Event.event  (** Decoded as strict {!decode} would. *)
   | S_remapped of Event.event
       (** An alloc whose decoded id collided with a live object (or went
           negative) after a skipped block; the event carries a fresh

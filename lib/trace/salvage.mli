@@ -46,7 +46,10 @@ type report = {
       (** Events in damaged regions, summed over trusted headers; a lower
           bound when [loss_exact] is false. *)
   loss_exact : bool;
-      (** Every damaged region was measured via a trusted frame header. *)
+      (** Every damaged region was measured via a trusted frame header.
+          "golden: single block damage costs one block" and
+          [salvage_single_flip_loss_honest] in test/test_salvage.ml check
+          that the counts then cover the stream. *)
   bytes_skipped : int;
   damage : damage list;  (** Damaged byte ranges, ascending. *)
   missing_eos : bool;

@@ -350,6 +350,27 @@ let sweep_gene ?jobs ~backend ~gene ~base events =
         } ))
     genomes results
 
+(* The Sec. 4 L/C plateau: one knob swept with the optimization that owns
+   it switched on, every other gene at the paper default. *)
+let plateau_sweeps ?jobs ~backend events =
+  let gene name =
+    let rec go i =
+      if i >= Space.num_genes then invalid_arg ("Tune: no gene named " ^ name)
+      else if Space.gene_name i = name then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let sweep ~knob ~owner =
+    let base = Array.copy Space.baseline in
+    base.(gene owner) <- 1;
+    (knob, sweep_gene ?jobs ~backend ~gene:(gene knob) ~base events)
+  in
+  [
+    sweep ~knob:"cfl_lists" ~owner:"span_prioritization";
+    sweep ~knob:"lifetime_threshold" ~owner:"lifetime_filler";
+  ]
+
 (* --- Checkpoints -------------------------------------------------------- *)
 
 let save_checkpoint ?storage ?(note = "") st ~path =
@@ -365,9 +386,7 @@ let load_checkpoint ~path =
 
 (* --- Rendering ---------------------------------------------------------- *)
 
-(* The deterministic prefix of one archive entry's JSON line: what
-   {!check_committed} matches byte-for-byte against the committed file.
-   Wall-clock time is appended outside this prefix and never gated. *)
+(* One archive entry's JSON fields. *)
 let entry_key (e : Pareto.entry) =
   Printf.sprintf "\"genome\":\"%s\",\"rss_bytes\":%d,\"malloc_ms\":%.6f,\"config\":\"%s\""
     (Space.key e.Pareto.e_genome)
@@ -383,66 +402,30 @@ let header_key r =
     r.rp_seed r.rp_budget r.rp_batch r.rp_trace r.rp_evals r.rp_generations
     r.rp_dominates
 
-let to_json ?(wall_s = 0.0) ?(sweeps = []) r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"benchmark\": \"tune\",\n";
-  Printf.bprintf b "  \"search\": {%s},\n" (header_key r);
-  Printf.bprintf b "  \"baseline\": {%s},\n" (entry_key r.rp_baseline);
-  Printf.bprintf b "  \"best\": {%s},\n" (entry_key r.rp_best);
-  Buffer.add_string b "  \"front\": [\n";
-  let n = List.length r.rp_front in
-  List.iteri
-    (fun i e ->
-      Printf.bprintf b "    {%s}%s\n" (entry_key e)
-        (if i = n - 1 then "" else ","))
-    r.rp_front;
-  Buffer.add_string b "  ],\n";
-  List.iter
-    (fun (name, cells) ->
-      Printf.bprintf b "  \"%s\": [\n" name;
-      let n = List.length cells in
-      List.iteri
-        (fun i (label, e) ->
-          Printf.bprintf b "    {\"value\":\"%s\",%s}%s\n" label (entry_key e)
-            (if i = n - 1 then "" else ","))
-        cells;
-      Buffer.add_string b "  ],\n")
-    sweeps;
-  Printf.bprintf b "  \"wall_s\": %.3f\n" wall_s;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let contains ~committed key =
-  let klen = String.length key and len = String.length committed in
-  let rec found i =
-    if i + klen > len then false
-    else String.sub committed i klen = key || found (i + 1)
+let to_json ?(sweeps = []) r =
+  let list = function
+    | [] -> "  ]"
+    | rows -> String.concat ",\n" (List.map (Printf.sprintf "    {%s}") rows) ^ "\n  ]"
   in
-  found 0
-
-let check_committed ?(sweeps = []) ~committed r =
-  let miss what key =
-    if contains ~committed key then None
-    else
-      Some
-        (Printf.sprintf "%s: deterministic metrics differ from committed (%s)"
-           what key)
-  in
-  List.filter_map Fun.id
-    ([ miss "search" (header_key r);
-       miss "baseline" (entry_key r.rp_baseline);
-       miss "best" (entry_key r.rp_best) ]
-    @ List.map (fun e -> miss "front" (entry_key e)) r.rp_front
-    @ List.concat_map
+  let sections =
+    [
+      "  \"benchmark\": \"tune\"";
+      Printf.sprintf "  \"search\": {%s}" (header_key r);
+      Printf.sprintf "  \"baseline\": {%s}" (entry_key r.rp_baseline);
+      Printf.sprintf "  \"best\": {%s}" (entry_key r.rp_best);
+      "  \"front\": [\n" ^ list (List.map entry_key r.rp_front);
+    ]
+    @ List.map
         (fun (name, cells) ->
-          List.map
-            (fun (label, e) ->
-              miss
-                (Printf.sprintf "%s[%s]" name label)
-                (Printf.sprintf "\"value\":\"%s\",%s" label (entry_key e)))
-            cells)
-        sweeps)
+          Printf.sprintf "  \"%s\": [\n" name
+          ^ list
+              (List.map
+                 (fun (label, e) ->
+                   Printf.sprintf "\"value\":\"%s\",%s" label (entry_key e))
+                 cells))
+        sweeps
+  in
+  "{\n" ^ String.concat ",\n" sections ^ "\n}\n"
 
 let pp_front ppf r =
   let pct x base =

@@ -88,16 +88,15 @@ val run :
     @raise Invalid_argument when resuming against a different spec or
     trace. *)
 
-val sweep_gene :
+val plateau_sweeps :
   ?jobs:int ->
   backend:Wsc_tcmalloc.Config.backend_kind ->
-  gene:int ->
-  base:Space.genome ->
   Wsc_workload.Trace.event array ->
-  (string * Pareto.entry) list
-(** Evaluate every grid point of one knob with the others pinned at
-    [base] — the L/C plateau validation — returning (rendered value,
-    objectives) in grid order. *)
+  (string * (string * Pareto.entry) list) list
+(** The Sec. 4 L/C plateau validation: every grid point of [cfl_lists]
+    with span prioritization on, then of [lifetime_threshold] with the
+    lifetime-aware filler on, all other genes at {!Space.baseline}.  Each
+    sweep is (gene name, (rendered value, objectives) in grid order). *)
 
 (** {1 Checkpoints} *)
 
@@ -109,20 +108,16 @@ val save_checkpoint :
 val load_checkpoint : path:string -> state
 (** @raise Wsc_persist.Persist.Corrupt on damage or wrong kind. *)
 
-(** {1 Rendering and gating} *)
+(** {1 Rendering} *)
 
 val to_json :
-  ?wall_s:float -> ?sweeps:(string * (string * Pareto.entry) list) list ->
-  report -> string
-(** BENCH_tune.json body.  Every search/baseline/front/best/sweep line
-    is a deterministic function of the report; [wall_s] is the only
-    host-dependent field and is never gated. *)
-
-val check_committed :
-  ?sweeps:(string * (string * Pareto.entry) list) list ->
-  committed:string -> report -> string list
-(** One message per deterministic line of {!to_json} missing from the
-    committed file; empty means the gate passes. *)
+  ?sweeps:(string * (string * Pareto.entry) list) list -> report -> string
+(** BENCH_tune.json body: the search, baseline, best, front and sweep
+    lines, each a deterministic function of the report, and nothing that
+    depends on the host.  [tune_search_matches_committed] in
+    test/test_tune.ml requires {!default_spec}'s search on the pinned
+    trace, with {!plateau_sweeps}, to render exactly the committed file
+    at [jobs] 1 and 4. *)
 
 val pp_front : Format.formatter -> report -> unit
 (** Human-readable front table with deltas vs the paper default. *)

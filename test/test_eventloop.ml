@@ -446,6 +446,33 @@ let create_forces_no_minor_gc () =
   let ran = (Gc.quick_stat ()).Gc.minor_collections - before in
   if ran >= 50 then Alcotest.failf "200 Calendar.create calls ran %d minor collections" ran
 
+(* {1 Allocation per simulated event} *)
+
+(* Minor words a warm fleet-profile machine allocates per malloc or free,
+   measured over 20 s of simulated time after a 5 s warm-up.  The count is
+   a deterministic function of the build: 5.43 in the release profile and
+   11.76 in dev (OCaml 5.1.1).  Each bound sits less than one word above
+   its measured value, so one more boxed float (two words) per event
+   fails it. *)
+let words_per_event_bound = if Build_info.profile = "release" then 6.0 else 12.5
+
+let warm_machine_minor_words_per_event () =
+  let module Machine = Wsc_fleet.Machine in
+  let module Telemetry = Wsc_tcmalloc.Telemetry in
+  let machine =
+    Machine.create ~seed:42 ~platform:Wsc_hw.Topology.default
+      ~jobs:[ Wsc_workload.Apps.fleet ] ()
+  in
+  Machine.run machine ~duration_ns:(5.0 *. Units.sec) ~epoch_ns:Units.ms;
+  let tel = Wsc_backend.Backend.telemetry (List.hd (Machine.jobs machine)).Machine.backend in
+  let events () = Telemetry.alloc_count tel + Telemetry.free_count tel in
+  let e0 = events () and w0 = Gc.minor_words () in
+  Machine.run machine ~duration_ns:(20.0 *. Units.sec) ~epoch_ns:Units.ms;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (events () - e0) in
+  if words > words_per_event_bound then
+    Alcotest.failf "%.2f minor words per event in the %s profile, above %.1f" words
+      Build_info.profile words_per_event_bound
+
 let suite =
     [
       ( "calendar",
@@ -455,6 +482,11 @@ let suite =
           Alcotest.test_case "watermark resort after partial drain" `Quick watermark_resort;
           Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;
           Alcotest.test_case "create forces no minor GC" `Quick create_forces_no_minor_gc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "warm machine minor words per event" `Quick
+            warm_machine_minor_words_per_event;
         ] );
       ( "samplers",
         [

@@ -6,6 +6,7 @@
 open Wsc_substrate
 module Config = Wsc_tcmalloc.Config
 module Malloc = Wsc_tcmalloc.Malloc
+module Span_stats = Wsc_tcmalloc.Span_stats
 module Backend = Wsc_backend.Backend
 module Telemetry = Wsc_tcmalloc.Telemetry
 module Audit = Wsc_tcmalloc.Audit
@@ -149,6 +150,46 @@ let test_driver_file_round_trip () =
   check_bool "restored digest matches" true (job_digest driver = job_digest restored);
   check_string "note survives" "unit test" (Persist.info ~path).Persist.note
 
+(* The long-horizon experiment's seam: a driver with span snapshots on,
+   saved to disk, dropped and reloaded twice, equals one uninterrupted
+   run, span statistics included. *)
+let test_chained_span_snapshots () =
+  with_temp @@ fun path ->
+  let mk () =
+    let clock = Clock.create () in
+    let backend =
+      Backend.create ~span_snapshot_interval_ns:sec ~topology:Topology.default ~clock ()
+    in
+    let sched = Wsc_os.Sched.spread Topology.default ~first_cpu:0 ~cpus:16 ~domains:2 in
+    Driver.create ~seed:42 ~profile:Apps.fleet ~sched ~backend ~clock ()
+  in
+  (* Each class's return rates by live-allocation bucket cover every
+     occupancy observation the snapshot ticker made. *)
+  let span_digest driver =
+    let stats = Option.get (Malloc.span_stats (Backend.tc_exn (Driver.backend driver))) in
+    let by_class = Span_stats.return_rate_by_class stats in
+    ( Span_stats.observation_count stats,
+      by_class,
+      List.map
+        (fun (cls, _, _) ->
+          Span_stats.return_rate_by_live_allocations stats ~cls ~window_ns:(5.0 *. sec)
+            ~bucket:1)
+        by_class,
+      Span_stats.capacity_return_correlation stats )
+  in
+  let reference = mk () in
+  Driver.run reference ~duration_ns:(6.0 *. sec) ~epoch_ns:ms;
+  let chained = ref (mk ()) in
+  for _seam = 1 to 2 do
+    Driver.run !chained ~duration_ns:(3.0 *. sec) ~epoch_ns:ms;
+    Persist.save_driver !chained ~path;
+    chained := Persist.load_driver ~path
+  done;
+  check_bool "chained == uninterrupted" true (job_digest reference = job_digest !chained);
+  (* [compare], not [=]: a correlation over too few classes is nan. *)
+  check_bool "span statistics chained == uninterrupted" true
+    (compare (span_digest reference) (span_digest !chained) = 0)
+
 (* {1 Corruption} *)
 
 let saved_snapshot f =
@@ -262,6 +303,8 @@ let suite =
           test_run_machine_epoch_sequence;
         Alcotest.test_case "file round-trip + info" `Quick test_file_round_trip;
         Alcotest.test_case "driver file round-trip" `Quick test_driver_file_round_trip;
+        Alcotest.test_case "chained driver equals uninterrupted" `Quick
+          test_chained_span_snapshots;
         Alcotest.test_case "corrupt: truncated" `Quick test_corrupt_truncated;
         Alcotest.test_case "corrupt: flipped byte" `Quick test_corrupt_flipped_byte;
         Alcotest.test_case "corrupt: wrong version" `Quick test_corrupt_wrong_version;

@@ -273,6 +273,90 @@ let test_salvage_payload_flip_loss_exact =
            = total
          else rep.Salvage.events_recovered + rep.Salvage.events_dropped <= total))
 
+(* {1 Recorded corpus through the storage shim} *)
+
+(* A 4 s monarch recording re-encoded through the storage chaos shim at
+   four flip rates, each damaged copy repaired; then a crash arm with torn
+   writes and a lost tail.  The flip schedule is a function of the seed and
+   the file's name, so every count below is pinned. *)
+let test_recorded_corpus_flip_sweep () =
+  with_temp_dir @@ fun dir ->
+  let path name = Filename.concat dir name in
+  let clean = path "clean.wtrace" in
+  let events =
+    Writer.with_file clean (fun w ->
+        ignore
+          (Recorder.record_app ~seed:11 ~duration_ns:(4.0 *. Units.sec) ~writer:w Apps.monarch);
+        Writer.events_written w)
+  in
+  check_int "corpus events" 182695 events;
+  (* On an undamaged stream the salvage decoder yields exactly the strict
+     decoder's events. *)
+  let salvaged = ref [] in
+  let rep0 = Salvage.scan ~on_event:(fun ev -> salvaged := ev :: !salvaged) clean in
+  check_bool "clean corpus scans clean" true (Salvage.clean rep0);
+  check_bool "salvage decode = strict decode on the clean corpus" true
+    (List.rev !salvaged
+    = Reader.with_file clean (fun r -> List.rev (Reader.fold r [] (fun acc ev -> ev :: acc))));
+  let write_through faults name =
+    let st = Storage.create ~faults () in
+    Writer.with_file ~storage:st (path name) (fun w ->
+        Reader.with_file clean (fun r -> ignore (Reader.copy_into r w)));
+    (st, path name)
+  in
+  let arms =
+    List.map
+      (fun rate ->
+        let st, damaged =
+          write_through
+            { Fault.no_storage_faults with Fault.storage_seed = 23; flip_rate = rate }
+            (Printf.sprintf "flips-%g.wtrace" rate)
+        in
+        let repaired = path (Printf.sprintf "flips-%g.repaired" rate) in
+        let rep = Salvage.repair ~src:damaged ~dst:repaired () in
+        (* Degraded-mode guarantee: the repaired file satisfies the strict
+           reader and holds exactly what salvage said it recovered. *)
+        check_int
+          (Printf.sprintf "flip rate %g: strict re-read of the repair" rate)
+          rep.Salvage.events_recovered (Reader.verify repaired).Reader.events;
+        (rate, Storage.flips st, rep))
+      [ 1e-7; 1e-6; 1e-5; 1e-4 ]
+  in
+  Alcotest.(check (list string))
+    "flips, recovered, lost, dropped by flip rate"
+    [
+      "1e-07: 0 flips, 182695 recovered, 0 lost, 0 dropped";
+      "1e-06: 1 flips, 181671 recovered, 1024 lost, 0 dropped";
+      "1e-05: 5 flips, 177545 recovered, 5120 lost, 30 dropped";
+      "0.0001: 29 flips, 153843 recovered, 19456 lost, 180 dropped";
+    ]
+    (List.map
+       (fun (rate, flips, rep) ->
+         Printf.sprintf "%g: %d flips, %d recovered, %d lost, %d dropped" rate flips
+           rep.Salvage.events_recovered rep.Salvage.events_lost rep.Salvage.events_dropped)
+       arms);
+  let _, _, rep_1e6 = List.find (fun (rate, _, _) -> rate = 1e-6) arms in
+  check_bool "recovery at flip rate 1e-6 is at least 99%" true
+    (float_of_int rep_1e6.Salvage.events_recovered >= 0.99 *. float_of_int events);
+  let _, replayed = Replay.run_salvage (path "flips-1e-06.wtrace") in
+  check_int "replay --salvage recovers what repair recovers at 1e-6"
+    rep_1e6.Salvage.events_recovered replayed.Salvage.events_recovered;
+  let st, torn =
+    write_through
+      {
+        Fault.no_storage_faults with
+        Fault.storage_seed = 29;
+        torn_write_rate = 0.002;
+        truncate_rate = 0.5;
+      }
+      "torn.wtrace"
+  in
+  check_bool "crash arm drew a torn write or a truncation" true
+    (Storage.torn_writes st + Storage.truncations st > 0);
+  let torn_rep = Salvage.scan torn in
+  check_bool "torn trace is damaged" false (Salvage.clean torn_rep);
+  check_bool "torn trace lost its end marker" true torn_rep.Salvage.missing_eos
+
 (* {1 Torn writes and killed writers} *)
 
 let test_torn_write_loses_tail_not_head () =
@@ -522,6 +606,8 @@ let suite =
           test_clean_trace_repair_identity;
         test_salvage_fuzz;
         test_salvage_payload_flip_loss_exact;
+        Alcotest.test_case "recorded corpus flip sweep" `Quick
+          test_recorded_corpus_flip_sweep;
         Alcotest.test_case "torn write loses tail not head" `Quick
           test_torn_write_loses_tail_not_head;
         Alcotest.test_case "text salvage drops reserved ids" `Quick

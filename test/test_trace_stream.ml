@@ -831,6 +831,33 @@ let test_analyzer_streaming () =
       check_bool "render produces tables" true
         (String.length (Analyzer.render r) > 200))
 
+(* A real recorded run (threads, retirements, cross-CPU frees), not a
+   synthetic best case for the delta encoder: its event count and both
+   encodings' sizes are pinned, and the binary format keeps its promise of
+   at least 5x fewer bytes than text v1 (one line per event, newline
+   included). *)
+let test_fleet_recording_sizes () =
+  with_temp @@ fun path ->
+  let events =
+    Writer.with_file path (fun w ->
+        ignore
+          (Recorder.record_app ~seed:42 ~duration_ns:(3.0 *. Units.sec) ~writer:w Apps.fleet);
+        Writer.events_written w)
+  in
+  let binary_bytes = (Unix.stat path).Unix.st_size in
+  let text_bytes =
+    Reader.with_file path (fun r ->
+        Reader.fold r 0 (fun acc ev -> acc + String.length (Trace.line_of_event ev) + 1))
+  in
+  check_int "events" 59405 events;
+  check_int "binary bytes" 128799 binary_bytes;
+  check_int "text v1 bytes" 711600 text_bytes;
+  check_bool
+    (Printf.sprintf "text v1 is %.2fx the binary (at least 5x)"
+       (float_of_int text_bytes /. float_of_int binary_bytes))
+    true
+    (text_bytes >= 5 * binary_bytes)
+
 let suite =
   [
     ( "trace_stream_codec",
@@ -845,6 +872,7 @@ let suite =
         test_codec_roundtrip;
         Alcotest.test_case "extreme values roundtrip" `Quick test_codec_roundtrip_extremes;
         Alcotest.test_case "writer rejects invalid" `Quick test_writer_rejects_invalid;
+        Alcotest.test_case "fleet recording sizes" `Quick test_fleet_recording_sizes;
       ] );
     ( "trace_stream_integrity",
       [

@@ -292,61 +292,65 @@ let test_campaign_builds_one_sampler () =
 
 (* `dune runtest` runs in _build/default/test with the committed files
    declared as deps one directory up; a hand launch from the repo root
-   finds them in place. *)
+   finds them in place.  Anywhere else the file is missing, and a golden
+   with nothing to compare against fails rather than passes. *)
 let repo_file name =
-  List.find_opt Sys.file_exists [ Filename.concat ".." name; name ]
+  match List.find_opt Sys.file_exists [ Filename.concat ".." name; name ] with
+  | Some path -> path
+  | None ->
+    Alcotest.failf "committed %s not found from %s or its parent" name (Sys.getcwd ())
 
-let committed name =
-  match repo_file name with
-  | None -> None
-  | Some path ->
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+let committed name = In_channel.with_open_bin (repo_file name) In_channel.input_all
 
-(* Recompute two arena cells from a fresh process: their deterministic
-   field prefixes must appear verbatim in the committed BENCH_arena.json. *)
+(* All twelve arena cells at seed 42, rendered, equal the committed
+   BENCH_arena.json as one string: a changed cell, a dropped scenario or
+   backend, and an extra committed cell all fail. *)
 let test_arena_cells_match_committed () =
-  match committed "BENCH_arena.json" with
-  | None -> Alcotest.skip ()
-  | Some text ->
-    let cells =
-      [
-        Arena.run_cell ~kind:Config.Tcmalloc ~seed:42 Arena.Churn;
-        Arena.run_cell ~kind:Config.Rpmalloc ~seed:42 Arena.Flood;
-      ]
-    in
-    (match Arena.check_committed ~committed:text { Arena.seed = 42; cells } with
-    | [] -> ()
-    | msgs -> Alcotest.fail (String.concat "; " msgs))
+  check_string "BENCH_arena.json" (committed "BENCH_arena.json")
+    (Arena.to_json (Arena.run ~seed:42 ()))
 
-(* Replaying the pinned trace under the paper default must reproduce the
-   baseline objectives recorded in the committed BENCH_tune.json. *)
+let pinned_events = lazy (Replay.preload (repo_file "bench/tune_pinned.wtrace"))
+
+(* The default search and the plateau sweeps on the pinned trace, as
+   `bench/main.exe tune` writes them to BENCH_tune.json. *)
+let tune_golden ~jobs =
+  let events = Lazy.force pinned_events in
+  let spec = Tuner.default_spec in
+  let report = Tuner.run ~jobs ~events spec in
+  let sweeps = Tuner.plateau_sweeps ~jobs ~backend:spec.Tuner.sp_backend events in
+  (report, Tuner.to_json ~sweeps report)
+
+let tune_jobs1 = lazy (tune_golden ~jobs:1)
+
+(* The search's paper-default entry is a plain replay of the pinned trace
+   under Config.baseline, and the committed BENCH_tune.json's baseline line
+   is its rendering. *)
 let test_tune_baseline_matches_committed () =
-  match committed "BENCH_tune.json" with
-  | None -> Alcotest.skip ()
-  | Some text ->
-    let trace =
-      match repo_file "bench/tune_pinned.wtrace" with
-      | Some p -> p
-      | None -> Alcotest.fail "pinned trace bench/tune_pinned.wtrace not found"
-    in
-    let ev = Replay.preload trace in
-    let r = Replay.run_preloaded ~config:Config.baseline ev in
-    let line =
-      Printf.sprintf "\"rss_bytes\":%d,\"malloc_ms\":%.6f"
-        r.Replay.peak_rss_bytes
-        (r.Replay.malloc_ns /. 1e6)
-    in
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
-    check_bool
-      ("committed BENCH_tune.json carries the recomputed baseline " ^ line)
-      true (contains text line)
+  let r = Replay.run_preloaded ~config:Config.baseline (Lazy.force pinned_events) in
+  let report, json = Lazy.force tune_jobs1 in
+  let b = report.Tuner.rp_baseline in
+  check_int "baseline peak RSS" r.Replay.peak_rss_bytes b.Pareto.e_rss;
+  Alcotest.(check (float 0.0)) "baseline malloc ns" r.Replay.malloc_ns b.Pareto.e_ns;
+  let baseline_line text =
+    List.find_opt
+      (String.starts_with ~prefix:"  \"baseline\": ")
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check (option string))
+    "baseline line" (baseline_line (committed "BENCH_tune.json")) (baseline_line json)
+
+(* The whole committed BENCH_tune.json at --jobs 1 and --jobs 4, and the
+   acceptance gate: the search spends its budget and its best member
+   strictly dominates the paper default. *)
+let test_tune_search_matches_committed () =
+  let text = committed "BENCH_tune.json" in
+  List.iter
+    (fun (jobs, (report, json)) ->
+      let at what = Printf.sprintf "%s at jobs %d" what jobs in
+      check_string (at "BENCH_tune.json") text json;
+      check_bool (at "search finished") true report.Tuner.rp_finished;
+      check_bool (at "best dominates the paper default") true report.Tuner.rp_dominates)
+    [ (1, Lazy.force tune_jobs1); (4, tune_golden ~jobs:4) ]
 
 let suite =
   [
@@ -388,5 +392,7 @@ let suite =
           test_arena_cells_match_committed;
         Alcotest.test_case "tune_baseline_matches_committed" `Quick
           test_tune_baseline_matches_committed;
+        Alcotest.test_case "tune_search_matches_committed" `Quick
+          test_tune_search_matches_committed;
       ] );
   ]
