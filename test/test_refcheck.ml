@@ -16,6 +16,7 @@ module Backend = Wsc_backend.Backend
 module Rseq = Wsc_os.Rseq
 module Config = Wsc_tcmalloc.Config
 module Malloc = Wsc_tcmalloc.Malloc
+module Per_cpu_cache = Wsc_tcmalloc.Per_cpu_cache
 module Writer = Wsc_trace.Writer
 module Recorder = Wsc_trace.Recorder
 module Replay = Wsc_trace.Replay
@@ -73,11 +74,13 @@ let test_dist_stream () =
 
 (* Restartable-sequence machines: two jobs of the optimized config under
    CPU churn, transient mmap faults and audits, so the rseq miss paths,
-   both fallbacks and every per-CPU eviction (decay, resize, churn's
-   drain_vcpu, the reclaim cascade's drain) run.  Each digest covers the
-   machine summary, every job's whole Telemetry record and its injector's
-   op, restart and fallback counts. *)
-let rseq_machine_digest ~preempt_prob ~max_restarts =
+   both fallbacks and the per-CPU evictions of decay, churn's drain_vcpu
+   and the reclaim cascade's drain run; the first dynamic-resize pass
+   comes at 5 s, so only runs longer than that resize.  Each digest covers
+   the machine summary, every job's whole Telemetry record and its
+   injector's op, restart and fallback counts.  With [caches] it also
+   covers each populated per-CPU cache's vCPU id, budget and used bytes. *)
+let rseq_machine_digest ?(caches = false) ~seconds ~preempt_prob ~max_restarts () =
   let faults =
     {
       Wsc_os.Fault.no_faults with
@@ -94,7 +97,7 @@ let rseq_machine_digest ~preempt_prob ~max_restarts =
       ~jobs:[ Apps.monarch; Apps.search_middle_tier ]
       ()
   in
-  Machine.run m ~duration_ns:(3.0 *. Units.sec) ~epoch_ns:Units.ms;
+  Machine.run m ~duration_ns:(seconds *. Units.sec) ~epoch_ns:Units.ms;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (hex_digest (Machine.summary m));
   List.iter
@@ -106,17 +109,45 @@ let rseq_machine_digest ~preempt_prob ~max_restarts =
       Buffer.add_string buf (Digest.to_hex (Digest.string (Marshal.to_string tel [])));
       Buffer.add_string buf
         (Printf.sprintf " ops %d restarts %d fallbacks %d\n" s.Rseq.ops s.Rseq.restarts
-           s.Rseq.fallbacks))
+           s.Rseq.fallbacks);
+      if caches then begin
+        let pcc = Malloc.per_cpu_caches (Backend.tc_exn job.Machine.backend) in
+        List.iter
+          (fun vcpu ->
+            Buffer.add_string buf
+              (Printf.sprintf "vcpu %d capacity %d used %d\n" vcpu
+                 (Per_cpu_cache.capacity_bytes pcc ~vcpu)
+                 (Per_cpu_cache.used_bytes pcc ~vcpu)))
+          (Per_cpu_cache.populated_vcpus pcc)
+      end)
     (Machine.jobs m);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_rseq_mild () =
   check_string "rseq mild digest" "72ef5a8a03b299c6fc4e962df5f9b5be"
-    (rseq_machine_digest ~preempt_prob:0.01 ~max_restarts:3)
+    (rseq_machine_digest ~seconds:3.0 ~preempt_prob:0.01 ~max_restarts:3 ())
 
 let test_rseq_fallback_heavy () =
   check_string "rseq fallback-heavy digest" "4d0a1eccc268e0b8d8df2935d0c74f94"
-    (rseq_machine_digest ~preempt_prob:0.2 ~max_restarts:1)
+    (rseq_machine_digest ~seconds:3.0 ~preempt_prob:0.2 ~max_restarts:1 ())
+
+(* The same machine for 6 s, so one resize pass runs, with every populated
+   per-CPU cache in the digest: which caches exist steers resize's victim
+   rotation, and an operation that falls back after an attempt touched
+   its vCPU's cache must still leave that cache populated.  At 0.9 most
+   operations fall back. *)
+let test_rseq_cache_state () =
+  Alcotest.(check (list string))
+    "rseq per-CPU cache state digests"
+    [
+      "2fd105e04ea2766f7c9bdad514dc7748";
+      "29ade89512dd2c032860e7ba88b1e966";
+      "d03d23d2fc93d8e0803560396bfb42b6";
+    ]
+    (List.map
+       (fun (preempt_prob, max_restarts) ->
+         rseq_machine_digest ~caches:true ~seconds:6.0 ~preempt_prob ~max_restarts ())
+       [ (0.01, 3); (0.2, 1); (0.9, 2) ])
 
 (* A region-heavy trace: 5 s of spanner on seed 1, whose 2.1 MiB-class
    allocations go to the hugepage region (Sec. 4.4), recorded, then
@@ -207,6 +238,7 @@ let suite =
         Alcotest.test_case "dist stream digest" `Quick test_dist_stream;
         Alcotest.test_case "rseq mild machine digest" `Quick test_rseq_mild;
         Alcotest.test_case "rseq fallback-heavy digest" `Quick test_rseq_fallback_heavy;
+        Alcotest.test_case "rseq per-CPU cache state" `Quick test_rseq_cache_state;
         Alcotest.test_case "spanner trace and four-arm replay" `Quick test_spanner_trace;
         Alcotest.test_case "per-thread front-end digest" `Quick test_per_thread_front_end;
       ] );
