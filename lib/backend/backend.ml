@@ -123,12 +123,3 @@ let audit = function
   | Tc m -> Audit.run m
   | Rp m -> Rpmalloc_model.audit m
   | Je m -> Jemalloc_model.audit m
-
-let snapshot = function
-  | Tc m -> Malloc.snapshot m
-  | (Rp _ | Je _) as t -> Marshal.to_string t [ Marshal.Closures ]
-
-let restore ~kind:k blob =
-  match k with
-  | Tcmalloc -> Tc (Malloc.restore blob)
-  | Rpmalloc | Jemalloc -> (Marshal.from_string blob 0 : t)

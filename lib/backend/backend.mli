@@ -106,9 +106,3 @@ val stranded_pending_ids : t -> int list
 
 val audit : t -> Wsc_tcmalloc.Audit.report
 (** Whole-heap invariant walk in the shared report format. *)
-
-val snapshot : t -> string
-val restore : kind:kind -> string -> t
-(** Warm-state snapshot/restore.  Like {!Malloc.snapshot} the blob is
-    binary-private; machine-level checkpoints embed the backend value
-    directly instead. *)

@@ -41,6 +41,7 @@ type t = {
   config : config;
   rng : Rng.t;  (* involuntary-preemption stream, per-process *)
   mutable armed : step option;  (* one-shot forced abort (migration / test) *)
+  mutable passed_pick_class : bool;  (* some attempt of the last op did *)
   mutable ops : int;
   mutable committed : int;
   mutable total_restarts : int;
@@ -56,6 +57,7 @@ let create ?(index = 0) config =
     config;
     rng = Rng.create (config.seed + (7919 * index) + 13);
     armed = None;
+    passed_pick_class = false;
     ops = 0;
     committed = 0;
     total_restarts = 0;
@@ -77,23 +79,15 @@ let preempted_at t step =
     t.config.preempt_prob > 0.0 && Rng.bernoulli t.rng t.config.preempt_prob
 
 (* One attempt passes through the critical section; every step may be the
-   preemption point.  Past the last one the commit store is considered to
-   have landed, so all mutation happens exactly once or never.  A toplevel
-   function, not a local closure, so an operation allocates nothing. *)
-let rec attempt t ~read_vcpu ~prepare ~commit restarts =
+   preemption point, and an attempt that survives all four commits.  A
+   toplevel function, not a local closure, so an operation allocates
+   nothing. *)
+let rec attempt t restarts =
   let committed =
-    if preempted_at t Read_vcpu then false
+    if preempted_at t Read_vcpu || preempted_at t Pick_class then false
     else begin
-      let vcpu = read_vcpu () in
-      if preempted_at t Pick_class then false
-      else begin
-        prepare vcpu;
-        if preempted_at t Prepare || preempted_at t Commit then false
-        else begin
-          commit ();
-          true
-        end
-      end
+      t.passed_pick_class <- true;
+      not (preempted_at t Prepare || preempted_at t Commit)
     end
   in
   if committed then begin
@@ -106,15 +100,18 @@ let rec attempt t ~read_vcpu ~prepare ~commit restarts =
   end
   else begin
     t.total_restarts <- t.total_restarts + 1;
-    attempt t ~read_vcpu ~prepare ~commit (restarts + 1)
+    attempt t (restarts + 1)
   end
 
 (* Returns [restarts >= 0] when the operation committed after that many
    restarts, and [-1 - restarts] when the restart budget ran out
    (fallback). *)
-let run_op t ~read_vcpu ~prepare ~commit =
+let run_op t =
   t.ops <- t.ops + 1;
-  attempt t ~read_vcpu ~prepare ~commit 0
+  t.passed_pick_class <- false;
+  attempt t 0
+
+let passed_pick_class t = t.passed_pick_class
 
 let stats t =
   {

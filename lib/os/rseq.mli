@@ -17,14 +17,15 @@
     Bernoulli draw models involuntary context switches, and one-shot armed
     aborts ({!note_migration}, {!force_preempt}) model scheduler migrations
     (CPU churn) and deterministic test injection.  A preempted attempt
-    performs {e no} mutation; the operation restarts with a freshly read
-    vCPU id, up to a bounded restart budget, after which the caller must
-    take its lock-protected slow path (the transfer cache).
+    performs {e no} mutation; the operation restarts, up to a bounded
+    restart budget, after which the caller must take its lock-protected
+    slow path (the transfer cache).
 
-    The caller supplies the section body as two closures: a pure [prepare]
-    that records its decision in a buffer the caller owns, and a [commit]
-    that applies it.  {!Wsc_tcmalloc.Per_cpu_cache} stages every per-CPU
-    operation this way, in its op buffer. *)
+    The injector decides an operation's fate without running its body.  An
+    aborted attempt changes nothing and nothing runs between attempts, so
+    every attempt reads the same vCPU id and makes the same decision:
+    {!Wsc_tcmalloc.Malloc} asks {!run_op} first and applies the per-CPU
+    step once, only if the operation committed. *)
 
 type config = {
   seed : int;  (** Root seed of the preemption stream. *)
@@ -42,7 +43,7 @@ val describe : config -> string
 type step =
   | Read_vcpu  (** Reading the dense vCPU id (stale after a migration). *)
   | Pick_class  (** Indexing the per-(vCPU, class) stack. *)
-  | Prepare  (** Staging the pop/push (reads only; nothing written). *)
+  | Prepare  (** Reading the stack to pop from or push to (nothing written). *)
   | Commit  (** Preempted just before the single committing store lands. *)
 
 val all_steps : step list
@@ -63,19 +64,19 @@ val create : ?index:int -> config -> t
 
 val config : t -> config
 
-val run_op :
-  t -> read_vcpu:(unit -> int) -> prepare:(int -> unit) -> commit:(unit -> unit) -> int
-(** Execute one restartable operation.  Each attempt draws a preemption
-    decision at every step: [read_vcpu] runs after {!Read_vcpu},
-    [prepare vcpu] after {!Pick_class}, and surviving {!Prepare} and
-    {!Commit} runs [commit].  A preempted attempt aborts without mutating
-    (neither [read_vcpu] nor [prepare] may mutate observable state;
-    [prepare] writes only the caller's buffer, which the next attempt
-    overwrites) and restarts with a freshly read vCPU id, at most
-    [max_restarts] times.  Returns [restarts >= 0] when the operation
-    committed after that many restarts, or [-1 - restarts] when the budget
-    ran out and the caller must take its slow path.  The closures are
-    expected to be preallocated, so an operation allocates nothing. *)
+val run_op : t -> int
+(** Decide one restartable operation.  Each attempt draws a preemption
+    decision at every step, in the order of {!all_steps}, and stops at the
+    first step that is preempted; an attempt that survives all four
+    commits.  A preempted attempt restarts, at most [max_restarts] times.
+    Returns [restarts >= 0] when the operation committed after that many
+    restarts, or [-1 - restarts] when the budget ran out and the caller
+    must take its slow path.  Allocates nothing. *)
+
+val passed_pick_class : t -> bool
+(** Whether some attempt of the last {!run_op} got past {!Pick_class}.
+    Such an attempt indexed its vCPU's cache, which populates the cache on
+    first touch even when the operation then falls back. *)
 
 val note_migration : t -> unit
 (** Arm a one-shot forced preemption at {!Read_vcpu}: the scheduler moved

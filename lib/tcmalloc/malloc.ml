@@ -7,27 +7,6 @@ module Rseq = Wsc_os.Rseq
 
 type addr = int
 
-(* Preallocated closures plus parameter slots for the per-CPU steps run
-   under {!Wsc_os.Rseq.run_op}: per-operation parameters are written into
-   the mutable slots instead of being captured, so neither the per-event
-   fast path nor a cache miss builds a closure, option or record. *)
-type fast_ops = {
-  mutable fo_thread : int;  (* cache-index thread id; -1 = none *)
-  mutable fo_cpu : int;
-  mutable fo_cls : int;
-  mutable fo_addr : int;  (* dealloc: the object being freed *)
-  mutable fo_n : int;  (* fill: end of the batch in [batch_buf]; flush: batch size *)
-  mutable fo_res : int;  (* prepare_alloc address (-1 = staged miss), or batch count *)
-  mutable fo_res_ok : bool;  (* prepare_dealloc result *)
-  mutable fo_observed : int;  (* vCPU the last attempt read; -1 = none *)
-  mutable fo_read_vcpu : unit -> int;
-  mutable fo_prep_alloc : int -> unit;
-  mutable fo_prep_dealloc : int -> unit;
-  mutable fo_prep_fill : int -> unit;
-  mutable fo_prep_flush : int -> unit;
-  mutable fo_commit : unit -> unit;
-}
-
 type t = {
   config : Config.t;
   topology : Topology.t;
@@ -47,7 +26,6 @@ type t = {
   (* vCPU ids retired with a still-populated cache, awaiting the background
      stranded-cache reclaim pass (cleared on reuse or drain). *)
   stranded_pending : (int, unit) Hashtbl.t;
-  fast : fast_ops;
   (* Scratch for the cache-miss batch paths (refill and batch flush) and
      the rseq free fallback: whole batches move through this preallocated
      buffer.  Sized for the largest per-class batch. *)
@@ -60,7 +38,7 @@ let page_size = Units.tcmalloc_page_size
 let max_batch =
   let m = ref 1 in
   for cls = 0 to Size_class.count - 1 do
-    m := max !m (Size_class.batch cls)
+    m := Int.max !m (Size_class.batch cls)
   done;
   !m
 
@@ -110,7 +88,7 @@ let release_memory t ~target_bytes =
 let remember_domain t ~vcpu ~cpu =
   let n = Array.length t.vcpu_domain in
   if vcpu >= n then begin
-    let bigger = Array.make (max (vcpu + 1) (2 * n)) 0 in
+    let bigger = Array.make (Int.max (vcpu + 1) (2 * n)) 0 in
     Array.blit t.vcpu_domain 0 bigger 0 n;
     t.vcpu_domain <- bigger
   end;
@@ -119,7 +97,7 @@ let remember_domain t ~vcpu ~cpu =
 (* Front-end cache index: dense vCPU id normally; raw thread id in the
    legacy per-thread mode (footnote 2), where idle threads strand their
    caches because no other thread may touch them.  [-1] means "no thread
-   id" (the int-sentinel form the preallocated fast-path closures use). *)
+   id". *)
 let cache_index_id t ~thread ~cpu =
   match t.config.Config.front_end with
   | Config.Per_thread_caches when thread >= 0 -> thread
@@ -158,50 +136,8 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
       stranded_pending = Hashtbl.create 16;
       batch_buf = Array.make max_batch 0;
       tc_stats = Transfer_cache.make_remove_stats ();
-      fast =
-        {
-          fo_thread = -1;
-          fo_cpu = 0;
-          fo_cls = 0;
-          fo_addr = 0;
-          fo_n = 0;
-          fo_res = -1;
-          fo_res_ok = false;
-          fo_observed = -1;
-          fo_read_vcpu = (fun () -> 0);
-          fo_prep_alloc = ignore;
-          fo_prep_dealloc = ignore;
-          fo_prep_fill = ignore;
-          fo_prep_flush = ignore;
-          fo_commit = (fun () -> ());
-        };
     }
   in
-  (* Install the fast-path closures once; they read their per-event
-     parameters from the [fast] slots. *)
-  let fo = t.fast in
-  fo.fo_read_vcpu <-
-    (fun () ->
-      let vcpu = cache_index_id t ~thread:fo.fo_thread ~cpu:fo.fo_cpu in
-      remember_domain t ~vcpu ~cpu:fo.fo_cpu;
-      fo.fo_observed <- vcpu;
-      vcpu);
-  fo.fo_prep_alloc <-
-    (fun vcpu -> fo.fo_res <- Per_cpu_cache.prepare_alloc t.pcc ~vcpu ~cls:fo.fo_cls);
-  fo.fo_prep_dealloc <-
-    (fun vcpu ->
-      fo.fo_res_ok <- Per_cpu_cache.prepare_dealloc t.pcc ~vcpu ~cls:fo.fo_cls fo.fo_addr);
-  fo.fo_prep_fill <-
-    (fun vcpu ->
-      fo.fo_res <-
-        Per_cpu_cache.prepare_fill t.pcc ~vcpu ~cls:fo.fo_cls ~buf:t.batch_buf ~lo:1
-          ~hi:fo.fo_n);
-  fo.fo_prep_flush <-
-    (fun vcpu ->
-      fo.fo_res <-
-        Per_cpu_cache.prepare_flush t.pcc ~vcpu ~cls:fo.fo_cls ~n:fo.fo_n ~buf:t.batch_buf
-          ~pos:1);
-  fo.fo_commit <- (fun () -> Per_cpu_cache.commit_staged t.pcc);
   if config.Config.dynamic_per_cpu_caches then begin
     let resize now = Per_cpu_cache.resize t.pcc ~evict:(evict_to_transfer t ~now) in
     ignore (Clock.every clock ~period:config.Config.resize_interval_ns resize)
@@ -302,25 +238,27 @@ let refill_into t ~cls ~domain ~now =
   end
   else Cost_model.Transfer_cache
 
-(* Run one per-CPU step under the restartable-sequence protocol: [prepare]
-   is one of the preallocated [t.fast] closures, whose parameters the
-   caller wrote into [t.fast].  Every attempt re-reads the vCPU id (a
-   migration between attempts lands the restart on a different cache) and
-   each restart re-runs the 3.1 ns fast path (the Fig. 4 restart
-   overhead).  The vCPU is read once explicitly if every attempt aborted
-   before reading it.  Returns [true] when the restart budget ran out and
-   the caller must take its slow path. *)
-let run_per_cpu t r ~prepare =
-  let fo = t.fast in
-  fo.fo_observed <- -1;
-  let ret = Rseq.run_op r ~read_vcpu:fo.fo_read_vcpu ~prepare ~commit:fo.fo_commit in
-  let restarts, fell_back = if ret >= 0 then (ret, false) else (-1 - ret, true) in
-  Telemetry.record_rseq_op t.telemetry ~restarts ~fell_back;
-  if restarts > 0 then
-    Telemetry.charge_tier t.telemetry Cost_model.Per_cpu_cache
-      (float_of_int restarts *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache);
-  if fo.fo_observed < 0 then ignore (fo.fo_read_vcpu ());
-  fell_back
+(* Whether an operation's per-CPU step on [vcpu] runs: always without
+   rseq; with it, only when the injector lets the operation commit
+   (Wsc_os.Rseq.run_op).  Each restart re-runs the 3.1 ns fast path (the
+   Fig. 4 restart overhead).  A fallback skips the step, so the caller
+   takes its slow path, but an attempt that got past Pick_class indexed
+   the vCPU's cache, so that cache is still populated.  The only [t.rseq]
+   test on the per-CPU paths; inlined, so rseq-off malloc and free pay one
+   test and no call. *)
+let[@inline] per_cpu_commits t ~vcpu =
+  match t.rseq with
+  | None -> true
+  | Some r ->
+    let ret = Rseq.run_op r in
+    let fell_back = ret < 0 in
+    let restarts = if fell_back then -1 - ret else ret in
+    Telemetry.record_rseq_op t.telemetry ~restarts ~fell_back;
+    if restarts > 0 then
+      Telemetry.charge_tier t.telemetry Cost_model.Per_cpu_cache
+        (float_of_int restarts *. Cost_model.tier_hit_ns Cost_model.Per_cpu_cache);
+    if fell_back && Rseq.passed_pick_class r then Per_cpu_cache.populate t.pcc ~vcpu;
+    not fell_back
 
 (* Front-end allocation miss: pull a batch from the transfer cache into the
    scratch buffer, keep the first object and offer the rest to the per-CPU
@@ -342,11 +280,9 @@ let alloc_miss t ~cpu ~vcpu ~cls =
     raise (Vm.Mmap_failed Vm.Transient_fault);
   let buf = t.batch_buf in
   let accepted =
-    match t.rseq with
-    | None -> Per_cpu_cache.fill_from t.pcc ~vcpu ~cls ~buf ~lo:1 ~hi:count
-    | Some r ->
-      t.fast.fo_n <- count;
-      if run_per_cpu t r ~prepare:t.fast.fo_prep_fill then -1 else t.fast.fo_res
+    if per_cpu_commits t ~vcpu then
+      Per_cpu_cache.fill_from t.pcc ~vcpu ~cls ~buf ~lo:1 ~hi:count
+    else -1
   in
   if accepted < 0 then
     ignore (Transfer_cache.insert_from t.tc ~cls ~domain ~now ~buf ~lo:1 ~hi:count)
@@ -373,31 +309,18 @@ let malloc_attempt t ~thread ~cpu ~size =
   if cls < 0 then malloc_large t ~size
   else begin
     charge t Cost_model.Per_cpu_cache;
+    let vcpu = cache_index_id t ~thread ~cpu in
+    remember_domain t ~vcpu ~cpu;
+    let a = if per_cpu_commits t ~vcpu then Per_cpu_cache.alloc t.pcc ~vcpu ~cls else -1 in
     let a =
-      match t.rseq with
-      | None ->
-        let vcpu = cache_index_id t ~thread ~cpu in
-        remember_domain t ~vcpu ~cpu;
-        let a = Per_cpu_cache.alloc t.pcc ~vcpu ~cls in
-        if a >= 0 then begin
-          Telemetry.record_hit t.telemetry Cost_model.Per_cpu_cache;
-          a
-        end
-        else alloc_miss t ~cpu ~vcpu ~cls
-      | Some r ->
-        let fo = t.fast in
-        fo.fo_thread <- thread;
-        fo.fo_cpu <- cpu;
-        fo.fo_cls <- cls;
-        let fell_back = run_per_cpu t r ~prepare:fo.fo_prep_alloc in
-        if (not fell_back) && fo.fo_res >= 0 then begin
-          Telemetry.record_hit t.telemetry Cost_model.Per_cpu_cache;
-          fo.fo_res
-        end
-        else
-          (* Committed miss, or restart budget exhausted: either way the
-             front end yielded nothing — take the refill slow path. *)
-          alloc_miss t ~cpu ~vcpu:fo.fo_observed ~cls
+      if a >= 0 then begin
+        Telemetry.record_hit t.telemetry Cost_model.Per_cpu_cache;
+        a
+      end
+      else
+        (* A miss, or a restart budget that ran out: either way the front
+           end yielded nothing, so take the refill slow path. *)
+        alloc_miss t ~cpu ~vcpu ~cls
     in
     hand_out t a;
     Telemetry.record_alloc t.telemetry ~requested:size ~rounded:(Size_class.size cls);
@@ -409,7 +332,7 @@ let malloc_attempt t ~thread ~cpu ~size =
    failure (transient fault or hard memory limit) triggers the reclaim
    cascade and a retry; only after [reclaim_retries] exhausted attempts does
    the allocator surface [Out_of_memory]. *)
-let reclaim_target t ~size = max t.config.Config.reclaim_min_target_bytes (2 * size)
+let reclaim_target t ~size = Int.max t.config.Config.reclaim_min_target_bytes (2 * size)
 
 (* Toplevel recursion (not a local closure capturing the parameters): the
    closure would cost several minor words on every allocation. *)
@@ -500,11 +423,9 @@ let dealloc_miss t ~cpu ~vcpu ~cls a =
   let buf = t.batch_buf in
   buf.(0) <- a;
   let flushed =
-    match t.rseq with
-    | None -> Per_cpu_cache.flush_batch_into t.pcc ~vcpu ~cls ~n ~buf ~pos:1
-    | Some r ->
-      t.fast.fo_n <- n;
-      if run_per_cpu t r ~prepare:t.fast.fo_prep_flush then 0 else t.fast.fo_res
+    if per_cpu_commits t ~vcpu then
+      Per_cpu_cache.flush_batch_into t.pcc ~vcpu ~cls ~n ~buf ~pos:1
+    else 0
   in
   send_to_transfer t ~cls ~domain ~now ~hi:(1 + flushed)
 
@@ -517,28 +438,18 @@ let free ?(thread = -1) t ~cpu a ~size =
     charge t Cost_model.Per_cpu_cache;
     record_sampled_free t a;
     Telemetry.record_free t.telemetry ~requested:size ~rounded:(Size_class.size cls);
-    match t.rseq with
-    | None ->
-      let vcpu = cache_index_id t ~thread ~cpu in
-      remember_domain t ~vcpu ~cpu;
-      if not (Per_cpu_cache.dealloc t.pcc ~vcpu ~cls a) then
-        dealloc_miss t ~cpu ~vcpu ~cls a
-    | Some r ->
-      let fo = t.fast in
-      fo.fo_thread <- thread;
-      fo.fo_cpu <- cpu;
-      fo.fo_cls <- cls;
-      fo.fo_addr <- a;
-      if run_per_cpu t r ~prepare:fo.fo_prep_dealloc then begin
-        (* Restart budget exhausted before the cache accepted the object:
-           bypass the front end and hand it straight to the transfer cache
-           (the real allocator's slow path), without charging a front-end
-           miss to the vCPU. *)
-        t.batch_buf.(0) <- a;
-        send_to_transfer t ~cls ~domain:(Topology.domain_of_cpu t.topology cpu)
-          ~now:(Clock.now t.clock) ~hi:1
-      end
-      else if not fo.fo_res_ok then dealloc_miss t ~cpu ~vcpu:fo.fo_observed ~cls a
+    let vcpu = cache_index_id t ~thread ~cpu in
+    remember_domain t ~vcpu ~cpu;
+    if not (per_cpu_commits t ~vcpu) then begin
+      (* Restart budget exhausted before the cache accepted the object:
+         bypass the front end and hand it straight to the transfer cache
+         (the real allocator's slow path), without charging a front-end
+         miss to the vCPU. *)
+      t.batch_buf.(0) <- a;
+      send_to_transfer t ~cls ~domain:(Topology.domain_of_cpu t.topology cpu)
+        ~now:(Clock.now t.clock) ~hi:1
+    end
+    else if not (Per_cpu_cache.dealloc t.pcc ~vcpu ~cls a) then dealloc_miss t ~cpu ~vcpu ~cls a
   end
 
 let rseq t = t.rseq
@@ -640,13 +551,3 @@ let sampler t = t.sampler
 let config t = t.config
 let topology t = t.topology
 let clock t = t.clock
-
-(* Warm-state snapshot: one [Marshal] blob of the whole allocator graph.
-   [Marshal.Closures] carries the background tickers registered on the
-   clock (they capture [t]), so a restored allocator resumes with every
-   periodic activity — cache resize, decay, stranded reclaim, span
-   snapshots — exactly where it left off.  Sharing is preserved, so spans
-   referenced from both the central free lists and the page map come back
-   as one object, and float counters round-trip bit-for-bit. *)
-let snapshot t = Marshal.to_string t [ Marshal.Closures ]
-let restore blob : t = Marshal.from_string blob 0

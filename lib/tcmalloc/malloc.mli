@@ -31,11 +31,13 @@ val create :
     When [rseq] is given, every per-CPU step — the per-event pop or push,
     and a cache miss's batch fill or flush — runs under the
     restartable-sequence protocol: the injector may preempt it at any of
-    the four steps, forcing abort-and-restart on a freshly read vCPU id up
-    to {!Config.t.rseq_max_restarts} times, after which the operation
-    bypasses the front end to the transfer cache.  The batch moves to and
-    from the transfer cache are the same with or without it.  Restart counts, restart
-    CPU overhead (one extra fast-path hit per restart, Fig. 4), and
+    the four steps, forcing abort-and-restart up to
+    {!Config.t.rseq_max_restarts} times, after which the operation
+    bypasses the front end to the transfer cache.  The injector decides
+    first and the step runs once, only if the operation commits; every
+    attempt reads the same vCPU id.  The batch moves to and from the
+    transfer cache are the same with or without it.  Restart counts,
+    restart CPU overhead (one extra fast-path hit per restart, Fig. 4), and
     fallbacks are recorded in {!Telemetry}.  Without it the fast path
     commits atomically (identical to the pre-rseq model). *)
 
@@ -154,26 +156,3 @@ val sampler : t -> Sampler.t
 val config : t -> Config.t
 val topology : t -> Wsc_hw.Topology.t
 val clock : t -> Wsc_substrate.Clock.t
-
-(** {2 Warm-state snapshot} *)
-
-val snapshot : t -> string
-(** Serialize the entire allocator — every cache tier, the pageheap and
-    its hugepage components, the page map, sampler, telemetry, span
-    telemetry, the OS layer underneath ({!Wsc_os.Vm}, {!Wsc_os.Vcpu},
-    {!Wsc_os.Rseq}), the shared clock with all registered background
-    tickers, and every RNG cursor — into one binary blob.  Restoring
-    ({!restore}) gives back an allocator with the same {!heap_stats} that
-    keeps serving frees ([tc_snapshot_roundtrip] in test/test_backend.ml).
-    That a restored allocator continues exactly as if never snapshotted
-    is checked one level up, where driver and machine checkpoints marshal
-    it the same way ([driver bit-identity] and [machine bit-identity] in
-    test/test_persist.ml).  The blob uses [Marshal] with closures and
-    is therefore only readable by the same binary that wrote it; the
-    {!Wsc_persist} library wraps it in a checked, versioned container. *)
-
-val restore : string -> t
-(** Inverse of {!snapshot}.  The restored allocator owns a private copy of
-    the clock that was shared at snapshot time; callers resuming a whole
-    machine should restore at the machine level instead so clock sharing
-    is preserved across co-located jobs. *)

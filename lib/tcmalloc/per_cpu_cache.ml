@@ -11,21 +11,6 @@ type cpu_cache = {
   mutable total_misses : int;
 }
 
-(* The op buffer behind every restartable per-CPU operation: [prepare_*]
-   records the decision here (no mutation, no allocation) and
-   [commit_staged] applies it.  A preempted attempt simply overwrites the
-   buffer on restart, so a torn operation cannot lose or duplicate an
-   object.  A batch op also records the caller's buffer and the range it
-   moves. *)
-type op_kind =
-  | Op_none
-  | Op_alloc_hit
-  | Op_alloc_miss
-  | Op_dealloc_ok
-  | Op_dealloc_miss
-  | Op_fill
-  | Op_flush
-
 type t = {
   config : Config.t;
   mutable caches : cpu_cache option array;
@@ -33,13 +18,6 @@ type t = {
   mutable evict_buf : addr array;
       (* one stack's evicted objects, handed to [evict]; allocated at the
          first eviction *)
-  mutable op_kind : op_kind;
-  mutable op_cache : cpu_cache;  (* cache the staged op applies to *)
-  mutable op_cls : int;
-  mutable op_addr : int;
-  mutable op_buf : addr array;  (* batch ops: the caller's buffer ... *)
-  mutable op_pos : int;  (* ... the first slot they read or write ... *)
-  mutable op_count : int;  (* ... and how many objects they move *)
 }
 
 let min_capacity_bytes = 128 * 1024
@@ -48,38 +26,18 @@ let min_capacity_bytes = 128 * 1024
    so no single class can monopolize more than half the byte budget. *)
 let class_cap config cls =
   let size = Size_class.size cls in
-  let byte_bound = max (Size_class.batch cls) (config.Config.per_cpu_cache_bytes / 2 / size) in
-  min config.Config.per_cpu_class_cap_objects byte_bound
-
-let dummy_cache () =
-  {
-    stacks = [||];
-    low_watermark = [||];
-    used_bytes = 0;
-    capacity_bytes = 0;
-    interval_misses = 0;
-    total_misses = 0;
-  }
+  let byte_bound =
+    Int.max (Size_class.batch cls) (config.Config.per_cpu_cache_bytes / 2 / size)
+  in
+  Int.min config.Config.per_cpu_class_cap_objects byte_bound
 
 let create ?(config = Config.baseline) () =
-  {
-    config;
-    caches = Array.make 8 None;
-    next_victim = 0;
-    evict_buf = [||];
-    op_kind = Op_none;
-    op_cache = dummy_cache ();
-    op_cls = 0;
-    op_addr = 0;
-    op_buf = [||];
-    op_pos = 0;
-    op_count = 0;
-  }
+  { config; caches = Array.make 8 None; next_victim = 0; evict_buf = [||] }
 
 let cache_of t vcpu =
   let n = Array.length t.caches in
   if vcpu >= n then begin
-    let bigger = Array.make (max (vcpu + 1) (2 * n)) None in
+    let bigger = Array.make (Int.max (vcpu + 1) (2 * n)) None in
     Array.blit t.caches 0 bigger 0 n;
     t.caches <- bigger
   end;
@@ -99,17 +57,16 @@ let cache_of t vcpu =
     t.caches.(vcpu) <- Some c;
     c
 
+let populate t ~vcpu = ignore (cache_of t vcpu)
+
 let miss c =
   c.interval_misses <- c.interval_misses + 1;
   c.total_misses <- c.total_misses + 1
 
-(* Every per-CPU operation is a restartable sequence (Wsc_os.Rseq): the
-   [prepare_*] half only reads the cache and records the decision in the op
-   buffer; [commit_staged] applies it.  An attempt the preemption injector
-   aborts never commits, so a torn operation cannot lose or duplicate an
-   object.  The batch ops with rseq off are prepare-then-commit in one call;
-   only the per-event [alloc]/[dealloc] fuse the two halves, because they
-   are the hottest path. *)
+(* Every per-CPU operation is one direct step that allocates nothing once
+   the cache is populated.  Under rseq the caller runs it only after the
+   injector lets the operation commit (Wsc_os.Rseq.run_op), so an aborted
+   operation never touches the stacks. *)
 
 let[@inline] lower_watermark c ~cls =
   let len = Int_stack.length c.stacks.(cls) in
@@ -118,96 +75,6 @@ let[@inline] lower_watermark c ~cls =
 let[@inline] has_room t c ~cls =
   c.used_bytes + Size_class.size cls <= c.capacity_bytes
   && Int_stack.length c.stacks.(cls) < class_cap t.config cls
-
-let prepare_alloc t ~vcpu ~cls =
-  let c = cache_of t vcpu in
-  t.op_cache <- c;
-  t.op_cls <- cls;
-  let s = c.stacks.(cls) in
-  if Int_stack.is_empty s then begin
-    t.op_kind <- Op_alloc_miss;
-    -1
-  end
-  else begin
-    let a = Int_stack.get s (Int_stack.length s - 1) in
-    t.op_kind <- Op_alloc_hit;
-    t.op_addr <- a;
-    a
-  end
-
-let prepare_dealloc t ~vcpu ~cls a =
-  let c = cache_of t vcpu in
-  t.op_cache <- c;
-  t.op_cls <- cls;
-  t.op_addr <- a;
-  if has_room t c ~cls then begin
-    t.op_kind <- Op_dealloc_ok;
-    true
-  end
-  else begin
-    t.op_kind <- Op_dealloc_miss;
-    false
-  end
-
-let stage_batch t c ~kind ~cls ~buf ~pos ~count =
-  t.op_kind <- kind;
-  t.op_cache <- c;
-  t.op_cls <- cls;
-  t.op_buf <- buf;
-  t.op_pos <- pos;
-  t.op_count <- count;
-  count
-
-(* Acceptance is a prefix bounded by both the byte budget and the
-   per-class object cap: once one object is refused, so is every later
-   one. *)
-let prepare_fill t ~vcpu ~cls ~buf ~lo ~hi =
-  let c = cache_of t vcpu in
-  let room_bytes = max 0 ((c.capacity_bytes - c.used_bytes) / Size_class.size cls) in
-  let room_objects = max 0 (class_cap t.config cls - Int_stack.length c.stacks.(cls)) in
-  stage_batch t c ~kind:Op_fill ~cls ~buf ~pos:lo
-    ~count:(min (min room_bytes room_objects) (hi - lo))
-
-let prepare_flush t ~vcpu ~cls ~n ~buf ~pos =
-  let c = cache_of t vcpu in
-  stage_batch t c ~kind:Op_flush ~cls ~buf ~pos
-    ~count:(min n (Int_stack.length c.stacks.(cls)))
-
-let commit_staged t =
-  let c = t.op_cache and cls = t.op_cls in
-  (match t.op_kind with
-  | Op_none -> ()
-  | Op_alloc_hit ->
-    ignore (Int_stack.pop c.stacks.(cls));
-    c.used_bytes <- c.used_bytes - Size_class.size cls;
-    lower_watermark c ~cls
-  | Op_alloc_miss | Op_dealloc_miss -> miss c
-  | Op_dealloc_ok ->
-    Int_stack.push c.stacks.(cls) t.op_addr;
-    c.used_bytes <- c.used_bytes + Size_class.size cls
-  | Op_fill ->
-    for i = t.op_pos to t.op_pos + t.op_count - 1 do
-      Int_stack.push c.stacks.(cls) t.op_buf.(i)
-    done;
-    c.used_bytes <- c.used_bytes + (t.op_count * Size_class.size cls)
-  | Op_flush ->
-    ignore (Int_stack.pop_into c.stacks.(cls) t.op_buf ~pos:t.op_pos ~n:t.op_count);
-    c.used_bytes <- c.used_bytes - (t.op_count * Size_class.size cls);
-    lower_watermark c ~cls);
-  t.op_kind <- Op_none
-
-let fill_from t ~vcpu ~cls ~buf ~lo ~hi =
-  let k = prepare_fill t ~vcpu ~cls ~buf ~lo ~hi in
-  commit_staged t;
-  k
-
-let flush_batch_into t ~vcpu ~cls ~n ~buf ~pos =
-  let m = prepare_flush t ~vcpu ~cls ~n ~buf ~pos in
-  commit_staged t;
-  m
-
-(* Direct fast paths: stage-and-commit fused, zero allocation per call.
-   [alloc] returns the address or [-1] on a front-end miss. *)
 
 let alloc t ~vcpu ~cls =
   let c = cache_of t vcpu in
@@ -234,6 +101,29 @@ let dealloc t ~vcpu ~cls a =
     miss c;
     false
   end
+
+(* Acceptance is a prefix bounded by both the byte budget and the
+   per-class object cap: once one object is refused, so is every later
+   one. *)
+let fill_from t ~vcpu ~cls ~buf ~lo ~hi =
+  let c = cache_of t vcpu in
+  let size = Size_class.size cls in
+  let stack = c.stacks.(cls) in
+  let room_bytes = Int.max 0 ((c.capacity_bytes - c.used_bytes) / size) in
+  let room_objects = Int.max 0 (class_cap t.config cls - Int_stack.length stack) in
+  let k = Int.min (Int.min room_bytes room_objects) (hi - lo) in
+  for i = lo to lo + k - 1 do
+    Int_stack.push stack buf.(i)
+  done;
+  c.used_bytes <- c.used_bytes + (k * size);
+  k
+
+let flush_batch_into t ~vcpu ~cls ~n ~buf ~pos =
+  let c = cache_of t vcpu in
+  let m = Int_stack.pop_into c.stacks.(cls) buf ~pos ~n in
+  c.used_bytes <- c.used_bytes - (m * Size_class.size cls);
+  lower_watermark c ~cls;
+  m
 
 type evict = vcpu:int -> cls:int -> buf:addr array -> n:int -> unit
 
@@ -275,7 +165,7 @@ let decay_tick t ~evict =
             (* Objects below the class's low watermark went untouched the
                whole interval: surplus capacity to give back (TCMalloc's
                demand-based per-class capacity shrinking). *)
-            let n = min (c.low_watermark.(cls) / 2) (Int_stack.length stack) in
+            let n = Int.min (c.low_watermark.(cls) / 2) (Int_stack.length stack) in
             if n > 0 then ignore (evict_from t c ~vcpu ~cls ~n ~evict);
             c.low_watermark.(cls) <- Int_stack.length stack)
           c.stacks)

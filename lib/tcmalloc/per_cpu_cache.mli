@@ -18,16 +18,12 @@
     from their largest size classes first (small objects dominate
     allocations, Fig. 7).
 
-    Every operation is a {b restartable sequence}: a [prepare_*] reads the
-    cache and records its decision in the cache's op buffer, and
-    {!commit_staged} holds all mutation, so {!Wsc_os.Rseq.run_op} can abort
-    a preempted attempt without tearing the cache.  With rseq off the batch
-    ops ({!fill_from}, {!flush_batch_into}) prepare and commit in one call.
-    Only the per-event {!alloc}/{!dealloc}, the hottest path, fuse the two
-    halves into one direct step.  The per-event and batch ops allocate
-    nothing once a cache is populated (batches move through caller-owned
-    buffers), and evictions pop into a buffer the cache owns instead of a
-    list. *)
+    Every operation is one direct step.  Under restartable sequences
+    ({!Wsc_os.Rseq}) the caller asks the injector first and runs the step
+    only when the operation commits, so an aborted attempt never touches a
+    stack.  The per-event and batch ops allocate nothing once a cache is
+    populated (batches move through caller-owned buffers), and evictions
+    pop into a buffer the cache owns instead of a list. *)
 
 type addr = int
 
@@ -43,41 +39,18 @@ val dealloc : t -> vcpu:int -> cls:int -> addr -> bool
     miss) and the caller must flush a batch to the transfer cache. *)
 
 val fill_from : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
-(** {!prepare_fill} then {!commit_staged}: returns how many objects were
-    cached. *)
+(** Refill from [buf.(lo) .. buf.(hi-1)] in order; returns how many objects
+    were cached.  The cache accepts the prefix its byte budget and
+    per-class object cap allow, so the suffix from [buf.(lo + accepted)] is
+    rejected. *)
 
 val flush_batch_into : t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
-(** {!prepare_flush} then {!commit_staged}: returns how many objects landed
-    in [buf]. *)
+(** Flush up to [n] cached objects of a class into [buf.(pos) ..], most
+    recent first; returns how many landed in [buf]. *)
 
-(** {2 Restartable operations — the op buffer}
-
-    Protocol: call one [prepare_*] (pure, allocation-free — it only
-    records the decision in the cache-wide op buffer), then
-    {!commit_staged} to apply it.  A restart overwrites the buffer with a
-    fresh [prepare_*]; an abort that never commits leaves the cache
-    untouched.  At most one staged op may be outstanding. *)
-
-val prepare_alloc : t -> vcpu:int -> cls:int -> addr
-(** Stage one allocation; returns the address committing would pop, or
-    [-1] to stage a miss (whose commit only bumps the miss counter). *)
-
-val prepare_dealloc : t -> vcpu:int -> cls:int -> addr -> bool
-(** Stage one deallocation; [false] stages a cache-full miss. *)
-
-val prepare_fill : t -> vcpu:int -> cls:int -> buf:addr array -> lo:int -> hi:int -> int
-(** Stage a refill offering [buf.(lo) .. buf.(hi-1)] in order; returns how
-    many committing will cache.  The cache accepts the prefix its byte
-    budget and per-class object cap allow, so the suffix from
-    [buf.(lo + accepted)] is rejected.  [buf] is read at commit. *)
-
-val prepare_flush : t -> vcpu:int -> cls:int -> n:int -> buf:addr array -> pos:int -> int
-(** Stage a batch flush of up to [n] cached objects of a class; returns how
-    many committing will pop into [buf.(pos) ..], most recent first.
-    Staging writes nothing into [buf]. *)
-
-val commit_staged : t -> unit
-(** Apply the op staged by the last [prepare_*]; no-op if none pending. *)
+val populate : t -> vcpu:int -> unit
+(** Populate [vcpu]'s cache if it is not yet: what an rseq attempt that
+    indexed the cache and was then aborted leaves behind. *)
 
 (** {2 Evictions}
 

@@ -141,8 +141,8 @@ val drain : t -> unit
 (** {2 Warm-state checkpointing} *)
 
 val checkpoint : t -> string
-(** Serialize the driver and everything it drives — the allocator (via
-    {!Wsc_backend.Backend.snapshot}'s representation), the shared clock
+(** Serialize the driver and everything it drives — the allocator (the
+    {!Wsc_backend.Backend.t} value itself), the shared clock
     and its tickers, the pending-free event heap, the thread pool and
     vCPU occupancy, fault stream, audit history, and the driver's RNG
     cursor — into one [Marshal]-with-closures blob.  Resuming

@@ -278,15 +278,19 @@ let test_rseq_rejected () =
   in
   check_bool "tcmalloc keeps its rseq" true (Backend.rseq backend <> None)
 
+(* A driver checkpoint carries its backend: the resumed driver's heap has
+   the same stats and keeps serving frees of what was live. *)
 let test_snapshot_roundtrip kind () =
-  let backend = fresh_backend kind in
+  let clock = Clock.create () in
+  let backend = Backend.create ~config:(config_of kind) ~topology:Topology.default ~clock () in
+  let sched = Wsc_os.Sched.slice Topology.default ~first_cpu:0 ~cpus:8 in
+  let driver = Driver.create ~profile:Wsc_workload.Apps.redis ~sched ~backend ~clock () in
   let addrs =
     List.init 200 (fun i ->
         let size = 32 + (i mod 9) * 100 in
         (Backend.malloc backend ~cpu:(i mod 4) ~size, size, i mod 4))
   in
-  let blob = Backend.snapshot backend in
-  let restored = Backend.restore ~kind blob in
+  let restored = Driver.backend (Driver.resume (Driver.checkpoint driver)) in
   check_bool "same stats after restore" true
     (Backend.heap_stats restored = Backend.heap_stats backend);
   (* The restored heap keeps working: free everything that was live. *)

@@ -1,8 +1,8 @@
-(* Restartable-sequence tests: the preemption injector itself, staged-op
-   purity, exhaustive per-step preemption of the allocator fast path, the
-   slow-path fallback, stranded-cache reclaim, torn-operation detection,
-   a churn-heavy million-op survival run, and the A/B restart-overhead
-   accounting. *)
+(* Restartable-sequence tests: the preemption injector itself, exhaustive
+   per-step preemption of the allocator fast path, the slow-path fallback
+   and the cache an aborted attempt populates, stranded-cache reclaim,
+   torn-operation detection, a churn-heavy million-op survival run, and
+   the A/B restart-overhead accounting. *)
 
 open Wsc_substrate
 module Topology = Wsc_hw.Topology
@@ -25,12 +25,6 @@ let check_bool = Alcotest.(check bool)
 let rc ?(seed = 1) ?(p = 0.0) ?(budget = 3) () =
   { Rseq.seed; preempt_prob = p; max_restarts = budget }
 
-(* One trivial restartable op: reads vcpu 0, commits a counter bump.
-   Returns [Rseq.run_op]'s result: the restarts when it committed,
-   [-1 - restarts] when it fell back. *)
-let run_unit ?(commits = ref 0) r =
-  Rseq.run_op r ~read_vcpu:(fun () -> 0) ~prepare:ignore ~commit:(fun () -> incr commits)
-
 let expect_invalid_arg what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Invalid_argument" what
@@ -45,9 +39,8 @@ let audit_clean what m =
 
 let test_engine_commit_without_preemption () =
   let r = Rseq.create (rc ()) in
-  let commits = ref 0 in
-  check_int "committed with no restarts" 0 (run_unit ~commits r);
-  check_int "one commit" 1 !commits;
+  check_int "committed with no restarts" 0 (Rseq.run_op r);
+  check_bool "got past pick-class" true (Rseq.passed_pick_class r);
   let st = Rseq.stats r in
   check_int "ops" 1 st.Rseq.ops;
   check_int "committed ops" 1 st.Rseq.committed;
@@ -58,10 +51,9 @@ let test_engine_forced_abort_each_step () =
     (fun i step ->
       let r = Rseq.create (rc ~budget:Rseq.n_steps ()) in
       Rseq.force_preempt r ~step;
-      let commits = ref 0 in
       let name = Rseq.step_name step in
-      check_int (name ^ " committed after one restart") 1 (run_unit ~commits r);
-      check_int (name ^ " exactly one commit") 1 !commits;
+      check_int (name ^ " committed after one restart") 1 (Rseq.run_op r);
+      check_int (name ^ " exactly one commit") 1 (Rseq.stats r).Rseq.committed;
       check_int (name ^ " forced abort consumed") 1 (Rseq.stats r).Rseq.forced_aborts;
       check_bool "step_of_index inverse" true (Rseq.step_of_index i = step))
     Rseq.all_steps;
@@ -71,33 +63,40 @@ let test_engine_forced_abort_each_step () =
 let test_engine_budget_exhaustion () =
   let r = Rseq.create (rc ~budget:0 ()) in
   Rseq.force_preempt r ~step:Rseq.Commit;
-  let commits = ref 0 in
-  check_int "fell back with no restarts" (-1) (run_unit ~commits r);
-  check_int "no commit on fallback" 0 !commits;
+  check_int "fell back with no restarts" (-1) (Rseq.run_op r);
+  check_int "no commit on fallback" 0 (Rseq.stats r).Rseq.committed;
   check_int "fallback counted" 1 (Rseq.stats r).Rseq.fallbacks;
   (* The armed abort was consumed; the next op sails through. *)
-  check_int "next op commits" 0 (run_unit ~commits r)
+  check_int "next op commits" 0 (Rseq.run_op r);
+  (* A fallback got past pick-class only if its attempt was preempted at
+     prepare or commit. *)
+  List.iter
+    (fun step ->
+      Rseq.force_preempt r ~step;
+      check_int (Rseq.step_name step ^ " falls back") (-1) (Rseq.run_op r);
+      check_bool
+        (Rseq.step_name step ^ " got past pick-class")
+        (step = Rseq.Prepare || step = Rseq.Commit)
+        (Rseq.passed_pick_class r))
+    Rseq.all_steps
 
 let test_engine_migration_idempotent_until_consumed () =
   let r = Rseq.create (rc ()) in
   Rseq.note_migration r;
   Rseq.note_migration r;
-  let first = run_unit r in
-  let second = run_unit r in
+  let first = Rseq.run_op r in
+  let second = Rseq.run_op r in
   check_int "one restart from both arms" 1 first;
   check_int "second op unaffected" 0 second;
   check_int "one forced abort" 1 (Rseq.stats r).Rseq.forced_aborts
 
-(* An operation through preallocated closures allocates nothing, even when
-   it restarts or falls back. *)
+(* An operation allocates nothing, even when it restarts or falls back. *)
 let test_engine_run_op_allocates_nothing () =
   let r = Rseq.create (rc ~p:0.3 ~budget:1 ()) in
-  let commits = ref 0 in
-  let read_vcpu () = 0 and prepare _ = () and commit () = incr commits in
-  ignore (Rseq.run_op r ~read_vcpu ~prepare ~commit);
+  ignore (Rseq.run_op r);
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    ignore (Rseq.run_op r ~read_vcpu ~prepare ~commit)
+    ignore (Rseq.run_op r)
   done;
   let words = Gc.minor_words () -. before in
   let st = Rseq.stats r in
@@ -114,56 +113,12 @@ let test_engine_deterministic_streams () =
   let run_many seed index =
     let r = Rseq.create ~index (rc ~seed ~p:0.3 ~budget:2 ()) in
     for _ = 1 to 200 do
-      ignore (run_unit r)
+      ignore (Rseq.run_op r)
     done;
     Rseq.stats r
   in
   check_bool "same seed, same stream" true (run_many 5 0 = run_many 5 0);
   check_bool "job index perturbs the stream" true (run_many 5 0 <> run_many 5 1)
-
-(* {1 Staged-operation purity} *)
-
-(* Every prepare_* only records a decision in the op buffer: the cache (and,
-   for a flush, the caller's buffer) changes at commit, and a re-prepare,
-   like a restart on another vCPU, replaces the staged op. *)
-let test_staged_ops_mutate_only_on_commit () =
-  let pcc = Per_cpu_cache.create () in
-  let cls = Size_class.index_of_size 64 in
-  let size = Size_class.size cls in
-  let used vcpu = Per_cpu_cache.used_bytes pcc ~vcpu in
-  let batch = [| 0x1000; 0x2000 |] in
-  check_int "fill stages both" 2
-    (Per_cpu_cache.prepare_fill pcc ~vcpu:0 ~cls ~buf:batch ~lo:0 ~hi:2);
-  check_int "staged fill caches nothing" 0 (used 0);
-  check_int "fill re-staged on vCPU 1" 2
-    (Per_cpu_cache.prepare_fill pcc ~vcpu:1 ~cls ~buf:batch ~lo:0 ~hi:2);
-  Per_cpu_cache.commit_staged pcc;
-  check_int "commit fills the re-staged vCPU" (2 * size) (used 1);
-  check_int "first staging left no trace" 0 (used 0);
-  check_int "fill accepted both" 2
-    (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls ~buf:batch ~lo:0 ~hi:2);
-  let used0 = used 0 in
-  check_int "both cached" (2 * size) used0;
-  let out = Array.make 2 0 in
-  check_int "flush stages both" 2
-    (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls ~n:2 ~buf:out ~pos:0);
-  check_int "staged flush removes nothing" used0 (used 0);
-  Alcotest.(check (array int)) "staged flush writes nothing" [| 0; 0 |] out;
-  check_int "flush re-staged on vCPU 1" 2
-    (Per_cpu_cache.prepare_flush pcc ~vcpu:1 ~cls ~n:2 ~buf:out ~pos:0);
-  Per_cpu_cache.commit_staged pcc;
-  check_int "commit flushes the re-staged vCPU" 0 (used 1);
-  check_int "first staging left no trace" used0 (used 0);
-  Alcotest.(check (array int)) "flushed most recent first" [| 0x2000; 0x1000 |] out;
-  let a = Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls in
-  check_int "staging pops nothing" used0 (used 0);
-  check_int "staging is repeatable" a (Per_cpu_cache.prepare_alloc pcc ~vcpu:0 ~cls);
-  Per_cpu_cache.commit_staged pcc;
-  check_int "commit pops one" (used0 - size) (used 0);
-  check_bool "dealloc stages a hit" true (Per_cpu_cache.prepare_dealloc pcc ~vcpu:0 ~cls a);
-  check_int "staged dealloc pushes nothing" (used0 - size) (used 0);
-  Per_cpu_cache.commit_staged pcc;
-  check_int "committed dealloc restores" used0 (used 0)
 
 (* {1 Exhaustive per-step preemption of malloc/free} *)
 
@@ -216,6 +171,31 @@ let test_fallback_path_consistency () =
   Malloc.free m ~cpu:0 b ~size:128;
   List.iter (fun x -> Malloc.free m ~cpu:0 x ~size:128) warm;
   audit_clean "after reuse" m
+
+(* A free whose restart budget runs out bypasses the front end.  An
+   attempt preempted before pick-class never indexed its vCPU's cache; one
+   preempted at prepare or later did, and leaves the cache populated (and
+   empty), as the real allocator's aborted sequence leaves its cache
+   initialized. *)
+let test_fallback_populates_touched_cache () =
+  let clock = Clock.create () in
+  let r = Rseq.create (rc ~budget:0 ()) in
+  let m = Malloc.create ~rseq:r ~topology:Topology.default ~clock () in
+  let pcc = Malloc.per_cpu_caches m in
+  let objs = List.init (List.length Rseq.all_steps) (fun _ -> Malloc.malloc m ~cpu:0 ~size:64) in
+  check_bool "only vCPU 0 populated" true (Per_cpu_cache.populated_vcpus pcc = [ 0 ]);
+  (* CPU i + 1 takes vCPU i + 1 and frees one object, preempted at step i. *)
+  List.iteri
+    (fun i (step, a) ->
+      Rseq.force_preempt r ~step;
+      Malloc.free m ~cpu:(i + 1) a ~size:64;
+      check_int (Rseq.step_name step ^ " fell back") (i + 1) (Rseq.stats r).Rseq.fallbacks)
+    (List.combine Rseq.all_steps objs);
+  Alcotest.(check (list int)) "caches the aborted attempts touched" [ 0; 3; 4 ]
+    (Per_cpu_cache.populated_vcpus pcc);
+  check_int "nothing cached by a fallback" 0
+    (Per_cpu_cache.used_bytes pcc ~vcpu:3 + Per_cpu_cache.used_bytes pcc ~vcpu:4);
+  audit_clean "after fallbacks" m
 
 (* {1 Stranded-cache reclaim} *)
 
@@ -385,8 +365,6 @@ let suite =
           test_engine_run_op_allocates_nothing;
         Alcotest.test_case "deterministic streams" `Quick
           test_engine_deterministic_streams;
-        Alcotest.test_case "staged ops mutate only on commit" `Quick
-          test_staged_ops_mutate_only_on_commit;
       ] );
     ( "rseq-malloc",
       [
@@ -394,6 +372,8 @@ let suite =
           test_exhaustive_preemption_points;
         Alcotest.test_case "fallback path consistency" `Quick
           test_fallback_path_consistency;
+        Alcotest.test_case "fallback populates the touched cache" `Quick
+          test_fallback_populates_touched_cache;
         Alcotest.test_case "stranded registration and drain" `Quick
           test_stranded_registration_and_background_drain;
         Alcotest.test_case "reuse cancels stranded reclaim" `Quick

@@ -79,17 +79,13 @@ let test_pcc_drain_full_class_at_largest_cap () =
   | _ -> Alcotest.fail "expected one eviction of vCPU 0, class 0"
 
 (* The per-CPU side of a cache miss allocates nothing once the cache is
-   populated: the fused batch ops and their prepare/commit halves. *)
+   populated: a batch fill and a batch flush. *)
 let test_pcc_batch_ops_allocate_nothing () =
   let pcc = Per_cpu_cache.create () in
   let buf = Array.init 32 (fun i -> 8 * (i + 1)) in
   let round () =
     ignore (Per_cpu_cache.fill_from pcc ~vcpu:0 ~cls:0 ~buf ~lo:0 ~hi:32);
-    ignore (Per_cpu_cache.flush_batch_into pcc ~vcpu:0 ~cls:0 ~n:32 ~buf ~pos:0);
-    ignore (Per_cpu_cache.prepare_fill pcc ~vcpu:0 ~cls:0 ~buf ~lo:0 ~hi:32);
-    Per_cpu_cache.commit_staged pcc;
-    ignore (Per_cpu_cache.prepare_flush pcc ~vcpu:0 ~cls:0 ~n:32 ~buf ~pos:0);
-    Per_cpu_cache.commit_staged pcc
+    ignore (Per_cpu_cache.flush_batch_into pcc ~vcpu:0 ~cls:0 ~n:32 ~buf ~pos:0)
   in
   round ();
   let before = Gc.minor_words () in
