@@ -255,6 +255,29 @@ let test_pressure_survival kind () =
   ignore (Backend.release_memory backend ~target_bytes:max_int);
   check_bool "audit clean after recovery" true (Audit.is_clean (Backend.audit backend))
 
+(* Under a hard limit no mapping fits, one malloc runs the whole
+   reclaim-retry protocol: three retries, each after a reclaim, then
+   [Out_of_memory].  TCMalloc reclaims once more before it raises; the
+   rivals raise after the last failed retry. *)
+let test_reclaim_retry_protocol () =
+  List.iter
+    (fun kind ->
+      let backend = fresh_backend kind in
+      let name = Config.backend_name kind in
+      Vm.set_hard_limit (Backend.vm backend) (Some 1);
+      (match Backend.malloc backend ~cpu:0 ~size:64 with
+      | (_ : int) -> Alcotest.failf "%s: malloc under a 1 B hard limit succeeded" name
+      | exception Stdlib.Out_of_memory -> ());
+      let tel = Backend.telemetry backend in
+      check_int (name ^ " reclaim retries") 3 (Telemetry.reclaim_retries tel);
+      check_int (name ^ " oom events") 1 (Telemetry.oom_events tel);
+      check_int (name ^ " limit mmap failures") 4
+        (Vm.limit_mmap_failures (Backend.vm backend));
+      check_int (name ^ " reclaim events")
+        (if kind = Config.Tcmalloc then 4 else 3)
+        (Telemetry.reclaim_events tel))
+    Config.all_backends
+
 (* {1 Dispatcher contract} *)
 
 let test_rseq_rejected () =
@@ -328,6 +351,7 @@ let suite =
           (test_pressure_survival Config.Jemalloc);
         Alcotest.test_case "tc_pressure_survival" `Quick
           (test_pressure_survival Config.Tcmalloc);
+        Alcotest.test_case "reclaim_retry_protocol" `Quick test_reclaim_retry_protocol;
         Alcotest.test_case "rseq_rejected_by_rivals" `Quick test_rseq_rejected;
         Alcotest.test_case "rp_snapshot_roundtrip" `Quick
           (test_snapshot_roundtrip Config.Rpmalloc);
