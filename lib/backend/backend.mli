@@ -1,5 +1,5 @@
-(** The allocator backend dispatcher: one value type covering every
-    allocator model the simulator can run a process on.
+(** The allocator backend: one value type covering every allocator model
+    the simulator can run a process on.
 
     The rest of the repo (driver, machine, fleet, traces, persistence)
     consumes allocators exclusively through this module.  Selection rides
@@ -7,28 +7,47 @@
     allocator and its knobs and flows unchanged through fleet campaigns,
     A/B arms and trace replays.
 
+    A backend holds its model next to the process state every model
+    shares: config, topology, clock, VM, vCPU table and telemetry.  Reading
+    those, and {!resident_bytes}, dispatches on nothing.  What the models
+    share has one implementation each: the rivals' reclaim-retry loop
+    (here), the stats record ({!Wsc_tcmalloc.Malloc.stats_of_tiers}), the
+    fragmentation ratio ({!Wsc_tcmalloc.Malloc.fragmentation_of}), the
+    reclaim telemetry ({!Wsc_tcmalloc.Malloc.record_reclaim}) and the
+    audit's VM checks ({!Wsc_tcmalloc.Audit.of_walk}).
+
     The contract every backend satisfies:
-    - [malloc]/[free] with physical-CPU context, the same erroneous-free
+    - [malloc]/[free] with physical-CPU context and the same erroneous-free
       diagnostics (wild pointer, size mismatch, misaligned interior
-      pointer, double free), and the reclaim-retry-then-[Out_of_memory]
-      protocol under {!Wsc_os.Vm} memory pressure;
-    - [release_memory] running a graceful reclaim cascade with its
-      contributions recorded in {!Wsc_tcmalloc.Telemetry};
+      pointer, double free);
+    - under {!Wsc_os.Vm} memory pressure, a failed mapping counts a retry
+      and runs a reclaim, up to {!Wsc_tcmalloc.Config.t.reclaim_retries}
+      times, and the next failure raises [Out_of_memory].  TCMalloc
+      reclaims once more before it raises, and asks for twice the size, so
+      one forced OOM records 4 reclaim events on it against 3 on each rival
+      ([reclaim_retry_protocol] in test/test_backend.ml);
+    - [release_memory] running a reclaim cascade with its contributions
+      recorded in {!Wsc_tcmalloc.Telemetry};
     - [cpu_idle] retiring a physical CPU's vCPU id (with optional flush);
     - O(1)-ish {!heap_stats} whose [external_fragmentation_bytes] is the
       sum of the four cache-tier fields and whose byte conservation
       ([resident = live_rounded + the four tiers]) is checked by {!audit};
-    - a self-audit returning the shared {!Wsc_tcmalloc.Audit.report};
+    - a self-audit returning the shared {!Wsc_tcmalloc.Audit.report}, with
+      the same VM-counter and hard-limit checks on every backend;
     - full determinism: no wall clock, no unseeded randomness, so any
       [--jobs N] fleet run is bit-identical to [--jobs 1] (the
       [fleet_<backend>_jobs4_eq_jobs1] properties in test/test_backend.ml).
 
-    To add a backend: write a model exposing the surface consumed here
-    (see [Rpmalloc_model] for the shape), add a constructor to {!t} and a
-    {!Wsc_tcmalloc.Config.backend_kind} case, and extend every dispatch
-    below — the compiler's exhaustiveness check walks you through the
-    rest.  Then add it to {!Config.all_backends} so the qcheck
-    conformance suite (test/conformance.ml) and the arena cover it. *)
+    To add a backend: write a model with the rivals' surface (see
+    [Rpmalloc_model]): [create ~vm ~vcpus ~tel], one [malloc] attempt that
+    lets {!Wsc_os.Vm.Mmap_failed} escape, [free], a [release] sweep,
+    [cpu_idle], [heap_stats] built by
+    {!Wsc_tcmalloc.Malloc.stats_of_tiers}, [external_bytes], and an [audit]
+    walk of its own structures.  Add a constructor to the model type in
+    backend.ml and a {!Wsc_tcmalloc.Config.backend_kind} case; the
+    compiler's exhaustiveness check walks you through the dispatches.  Then
+    add it to {!Config.all_backends} so the qcheck conformance suite
+    (test/conformance.ml) and the arena cover it. *)
 
 module Config = Wsc_tcmalloc.Config
 module Malloc = Wsc_tcmalloc.Malloc
@@ -37,10 +56,7 @@ type kind = Config.backend_kind = Tcmalloc | Rpmalloc | Jemalloc
 
 val kind_name : kind -> string
 
-type t =
-  | Tc of Malloc.t
-  | Rp of Rpmalloc_model.t
-  | Je of Jemalloc_model.t
+type t
 
 type heap_stats = Malloc.heap_stats
 (** All backends report the same stats record; rivals map their tiers onto
@@ -78,12 +94,20 @@ val free : ?thread:int -> t -> cpu:int -> int -> size:int -> unit
     nothing per call. *)
 
 val release_memory : t -> target_bytes:int -> Malloc.reclaim_outcome
+(** [target_bytes <= 0] is a no-op.  A rival sweeps everything it can,
+    whatever the target. *)
+
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 
 val heap_stats : t -> heap_stats
 val resident_bytes : t -> int
+
 val live_fragmentation_ratio : t -> float
+(** [fragmentation_ratio (heap_stats t)] without building the record. *)
+
 val hugepage_coverage : t -> float
+(** TCMalloc's {!Malloc.hugepage_coverage}; a rival never subreleases, so
+    its coverage is {!Wsc_os.Vm.hugepage_coverage}. *)
 
 val fragmentation_ratio : heap_stats -> float
 (** (external + internal) / live requested — backend-independent. *)

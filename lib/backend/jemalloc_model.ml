@@ -22,13 +22,11 @@
    [transfer_cached_bytes] stat is always 0), and object-reuse locality
    telemetry is not recorded (remote_reuse_fraction reads 0). *)
 
-module Clock = Wsc_substrate.Clock
 module Int_table = Wsc_substrate.Int_table
 module Records = Wsc_substrate.Records
 module Vm = Wsc_os.Vm
 module Vcpu = Wsc_os.Vcpu
 module Cost = Wsc_hw.Cost_model
-module Config = Wsc_tcmalloc.Config
 module Telemetry = Wsc_tcmalloc.Telemetry
 module Audit = Wsc_tcmalloc.Audit
 module Malloc = Wsc_tcmalloc.Malloc
@@ -114,9 +112,6 @@ type tcache = { stacks : addr array array; counts : int array }
 type large = { l_pages : int; l_chunk : chunk; l_arena : int }
 
 type t = {
-  config : Config.t;
-  topology : Wsc_hw.Topology.t;
-  clock : Clock.t;
   vm : Vm.t;
   vcpus : Vcpu.t;
   tel : Telemetry.t;
@@ -156,14 +151,11 @@ let no_slab =
     state = Sl_dead;
   }
 
-let create ?(config = Config.baseline) ~topology ~clock () =
+let create ~vm ~vcpus ~tel =
   {
-    config;
-    topology;
-    clock;
-    vm = Vm.create ();
-    vcpus = Vcpu.create ();
-    tel = Telemetry.create ();
+    vm;
+    vcpus;
+    tel;
     arenas = Array.init num_arenas new_arena;
     page_map = Int_table.create ~initial_capacity:1024 ();
     slabs = Records.create ~dummy:no_slab;
@@ -183,7 +175,7 @@ let new_tcache () =
 let tcache_for t vcpu =
   let n = Array.length t.tcaches in
   if vcpu >= n then begin
-    let size = max (vcpu + 1) (max 4 (2 * n)) in
+    let size = Int.max (vcpu + 1) (Int.max 4 (2 * n)) in
     t.tcaches <- Array.init size (fun i -> if i < n then t.tcaches.(i) else None)
   end;
   match t.tcaches.(vcpu) with
@@ -203,7 +195,7 @@ let slab_of t addr = Records.get t.slabs (Int_table.find t.page_map (page_of add
 (* Fresh chunk for an arena; its whole page run becomes one free extent,
    which the caller allocates from next. *)
 let mmap_chunk t arena ~pages =
-  let hugepages = max 1 ((pages + pages_per_hugepage - 1) / pages_per_hugepage) in
+  let hugepages = Int.max 1 ((pages + pages_per_hugepage - 1) / pages_per_hugepage) in
   let base = Vm.mmap t.vm ~hugepages in
   let chunk =
     { Extents.c_base = base; c_hugepages = hugepages; c_pages = hugepages * pages_per_hugepage }
@@ -438,7 +430,7 @@ let rounded_of_size size =
   if size <= small_max then class_size (class_of_size size)
   else (size + page_size - 1) / page_size * page_size
 
-let malloc_attempt t ~cpu ~size =
+let malloc t ~cpu ~size =
   let vcpu = Vcpu.acquire t.vcpus ~phys_cpu:cpu in
   let addr =
     if size <= small_max then alloc_small t vcpu (class_of_size size)
@@ -449,62 +441,35 @@ let malloc_attempt t ~cpu ~size =
 
 (* Reclaim: flush every tcache, release fully-free current slabs, let
    extent coalescing unmap empty chunks. *)
-let release_memory t ~target_bytes =
-  if target_bytes <= 0 then
-    { Malloc.front_end_bytes = 0; transfer_bytes = 0; cfl_span_bytes = 0; os_released_bytes = 0 }
-  else begin
-    let before = Vm.resident_bytes t.vm in
-    let front = ref 0 and slab_bytes = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some tc ->
-          for cls = 0 to class_count - 1 do
-            front := !front + flush_tcache_class t tc cls
-          done)
-      t.tcaches;
-    Array.iter
-      (fun arena ->
+let release t =
+  let before = Vm.resident_bytes t.vm in
+  let front = ref 0 and slab_bytes = ref 0 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some tc ->
         for cls = 0 to class_count - 1 do
-          match arena.current.(cls) with
-          | Some slab when slab.n_free = slab.s_cap ->
-            arena.current.(cls) <- None;
-            slab.state <- Sl_nonfull;
-            slab_bytes := !slab_bytes + (slab.s_pages * page_size);
-            release_slab t slab
-          | Some _ | None -> ()
+          front := !front + flush_tcache_class t tc cls
         done)
-      t.arenas;
-    let os = before - Vm.resident_bytes t.vm in
-    Telemetry.record_reclaim_event t.tel;
-    Telemetry.record_reclaim t.tel Telemetry.Front_end !front;
-    Telemetry.record_reclaim t.tel Telemetry.Cfl_spans !slab_bytes;
-    Telemetry.record_reclaim t.tel Telemetry.Os_release os;
-    {
-      Malloc.front_end_bytes = !front;
-      transfer_bytes = 0;
-      cfl_span_bytes = !slab_bytes;
-      os_released_bytes = os;
-    }
-  end
-
-let rec malloc_retry t ~cpu ~size ~attempts =
-  try malloc_attempt t ~cpu ~size
-  with Vm.Mmap_failed _ ->
-    if attempts >= t.config.Config.reclaim_retries then begin
-      Telemetry.record_oom t.tel;
-      raise Stdlib.Out_of_memory
-    end
-    else begin
-      Telemetry.record_reclaim_retry t.tel;
-      let target = max size t.config.Config.reclaim_min_target_bytes in
-      ignore (release_memory t ~target_bytes:target);
-      malloc_retry t ~cpu ~size ~attempts:(attempts + 1)
-    end
-
-let malloc t ~cpu ~size =
-  if size <= 0 then invalid_arg "Jemalloc_model.malloc: size must be positive";
-  malloc_retry t ~cpu ~size ~attempts:0
+    t.tcaches;
+  Array.iter
+    (fun arena ->
+      for cls = 0 to class_count - 1 do
+        match arena.current.(cls) with
+        | Some slab when slab.n_free = slab.s_cap ->
+          arena.current.(cls) <- None;
+          slab.state <- Sl_nonfull;
+          slab_bytes := !slab_bytes + (slab.s_pages * page_size);
+          release_slab t slab
+        | Some _ | None -> ()
+      done)
+    t.arenas;
+  {
+    Malloc.front_end_bytes = !front;
+    transfer_bytes = 0;
+    cfl_span_bytes = !slab_bytes;
+    os_released_bytes = before - Vm.resident_bytes t.vm;
+  }
 
 let free t ~cpu addr ~size =
   if size <= 0 then invalid_arg "Jemalloc_model.free: size must be positive";
@@ -530,39 +495,10 @@ let cpu_idle ?(flush = false) t ~cpu =
   Vcpu.release t.vcpus ~phys_cpu:cpu
 
 let heap_stats t =
-  {
-    Malloc.live_requested_bytes = Telemetry.live_requested_bytes t.tel;
-    live_rounded_bytes = Telemetry.live_rounded_bytes t.tel;
-    front_end_cached_bytes = t.fe_bytes;
-    transfer_cached_bytes = 0;
-    cfl_fragmented_bytes = t.cfl_bytes;
-    pageheap_fragmented_bytes = t.ph_bytes;
-    internal_fragmentation_bytes = Telemetry.internal_fragmentation_bytes t.tel;
-    external_fragmentation_bytes = t.fe_bytes + t.cfl_bytes + t.ph_bytes;
-    resident_bytes = Vm.resident_bytes t.vm;
-  }
+  Malloc.stats_of_tiers t.tel t.vm ~front_end:t.fe_bytes ~transfer:0 ~cfl:t.cfl_bytes
+    ~pageheap:t.ph_bytes
 
-let resident_bytes t = Vm.resident_bytes t.vm
-
-let live_fragmentation_ratio t =
-  let live = Telemetry.live_requested_bytes t.tel in
-  if live = 0 then 0.0
-  else begin
-    let internal = Telemetry.internal_fragmentation_bytes t.tel in
-    float_of_int (t.fe_bytes + t.cfl_bytes + t.ph_bytes + internal) /. float_of_int live
-  end
-
-(* No subrelease in this model either: mapped hugepages stay intact. *)
-let hugepage_coverage t =
-  let mapped = Vm.mapped_bytes t.vm in
-  if mapped = 0 then 1.0 else float_of_int (Vm.huge_backed_bytes t.vm) /. float_of_int mapped
-
-let telemetry t = t.tel
-let vm t = t.vm
-let vcpus t = t.vcpus
-let config t = t.config
-let topology t = t.topology
-let clock t = t.clock
+let external_bytes t = t.fe_bytes + t.cfl_bytes + t.ph_bytes
 
 let audit t =
   let violations = ref [] in
@@ -606,23 +542,4 @@ let audit t =
   if !ph <> t.ph_bytes then
     add "filler-accounting"
       (Printf.sprintf "extent walk %d B <> counter %d B" !ph t.ph_bytes);
-  let resident = Vm.resident_bytes t.vm in
-  let live_rounded = Telemetry.live_rounded_bytes t.tel in
-  let accounted = live_rounded + t.fe_bytes + t.cfl_bytes + t.ph_bytes in
-  if accounted <> resident then
-    add "byte-conservation"
-      (Printf.sprintf "live %d + cached %d <> resident %d" live_rounded
-         (accounted - live_rounded) resident);
-  (match Vm.hard_limit t.vm with
-  | Some limit when resident > limit ->
-    add "hard-limit" (Printf.sprintf "resident %d B above hard limit %d B" resident limit)
-  | Some _ | None -> ());
-  let hugepages = ref 0 in
-  Vm.iter_hugepages t.vm (fun ~base:_ ~huge:_ ~subreleased_pages:_ -> incr hugepages);
-  {
-    Audit.time = Clock.now t.clock;
-    spans_walked = !spans_walked;
-    hugepages_walked = !hugepages;
-    stranded_bytes = 0;
-    violations = List.rev !violations;
-  }
+  (!spans_walked, List.rev !violations)

@@ -24,13 +24,11 @@
    free completes a span (bounds stranding deterministically), and there
    are no background threads — everything runs inline and deterministic. *)
 
-module Clock = Wsc_substrate.Clock
 module Int_table = Wsc_substrate.Int_table
 module Records = Wsc_substrate.Records
 module Vm = Wsc_os.Vm
 module Vcpu = Wsc_os.Vcpu
 module Cost = Wsc_hw.Cost_model
-module Config = Wsc_tcmalloc.Config
 module Telemetry = Wsc_tcmalloc.Telemetry
 module Audit = Wsc_tcmalloc.Audit
 module Malloc = Wsc_tcmalloc.Malloc
@@ -92,9 +90,6 @@ type heap = {
 type large_run = { lr_spans : int; lr_chunk : chunk; lr_index : int }
 
 type t = {
-  config : Config.t;
-  topology : Wsc_hw.Topology.t;
-  clock : Clock.t;
   vm : Vm.t;
   vcpus : Vcpu.t;
   tel : Telemetry.t;
@@ -133,15 +128,11 @@ let no_span =
     recycled = 0;
   }
 
-let create ?(config = Config.baseline) ~topology ~clock () =
-  let vm = Vm.create () in
+let create ~vm ~vcpus ~tel =
   {
-    config;
-    topology;
-    clock;
     vm;
-    vcpus = Vcpu.create ();
-    tel = Telemetry.create ();
+    vcpus;
+    tel;
     spans = Int_table.create ~initial_capacity:256 ();
     span_recs = Records.create ~dummy:no_span;
     larges = Hashtbl.create 64;
@@ -167,7 +158,7 @@ let new_heap () =
 let heap_for t vcpu =
   let n = Array.length t.heaps in
   if vcpu >= n then begin
-    let size = max (vcpu + 1) (max 4 (2 * n)) in
+    let size = Int.max (vcpu + 1) (Int.max 4 (2 * n)) in
     t.heaps <- Array.init size (fun i -> if i < n then t.heaps.(i) else new_heap ())
   end;
   t.heaps.(vcpu)
@@ -469,7 +460,7 @@ let rounded_of_size size =
   else if size <= chunk_bytes then (size + span_size - 1) / span_size * span_size
   else (size + chunk_bytes - 1) / chunk_bytes * chunk_bytes
 
-let malloc_attempt t ~cpu ~size =
+let malloc t ~cpu ~size =
   let vcpu = Vcpu.acquire t.vcpus ~phys_cpu:cpu in
   let addr =
     if size <= medium_max then alloc_small t vcpu (class_of_size size)
@@ -488,65 +479,38 @@ let spans_by_base t =
    span (actives included), flush the span caches back to chunks, unmap
    empty chunks.  Spans are swept in address order; releasing one never
    releases another. *)
-let release_memory t ~target_bytes =
-  if target_bytes <= 0 then
-    { Malloc.front_end_bytes = 0; transfer_bytes = 0; cfl_span_bytes = 0; os_released_bytes = 0 }
-  else begin
-    let before = Vm.resident_bytes t.vm in
-    let transfer = ref 0 and span_bytes = ref 0 in
-    List.iter
-      (fun span ->
-        transfer := !transfer + (span.n_deferred * span.sp_obj);
-        drain_deferred t span;
-        if span.n_free = span.sp_cap then begin
-          if span.state = Sp_active then begin
-            let heap = heap_for t span.owner in
-            heap.h_active.(span.sp_cls) <- None
-          end;
-          span.state <- Sp_partial;
-          span_bytes := !span_bytes + span_size;
-          release_span t span
-        end)
-      (spans_by_base t);
-    Array.iter
-      (fun heap ->
-        List.iter (fun (base, chunk) -> return_span_to_chunk t base chunk) heap.h_cache;
-        heap.h_cache <- [];
-        heap.h_cache_len <- 0)
-      t.heaps;
-    List.iter (fun (base, chunk) -> return_span_to_chunk t base chunk) t.g_cache;
-    t.g_cache <- [];
-    t.g_cache_len <- 0;
-    let os = before - Vm.resident_bytes t.vm in
-    Telemetry.record_reclaim_event t.tel;
-    Telemetry.record_reclaim t.tel Telemetry.Transfer !transfer;
-    Telemetry.record_reclaim t.tel Telemetry.Cfl_spans !span_bytes;
-    Telemetry.record_reclaim t.tel Telemetry.Os_release os;
-    {
-      Malloc.front_end_bytes = 0;
-      transfer_bytes = !transfer;
-      cfl_span_bytes = !span_bytes;
-      os_released_bytes = os;
-    }
-  end
-
-let rec malloc_retry t ~cpu ~size ~attempts =
-  try malloc_attempt t ~cpu ~size
-  with Vm.Mmap_failed _ ->
-    if attempts >= t.config.Config.reclaim_retries then begin
-      Telemetry.record_oom t.tel;
-      raise Stdlib.Out_of_memory
-    end
-    else begin
-      Telemetry.record_reclaim_retry t.tel;
-      let target = max size t.config.Config.reclaim_min_target_bytes in
-      ignore (release_memory t ~target_bytes:target);
-      malloc_retry t ~cpu ~size ~attempts:(attempts + 1)
-    end
-
-let malloc t ~cpu ~size =
-  if size <= 0 then invalid_arg "Rpmalloc_model.malloc: size must be positive";
-  malloc_retry t ~cpu ~size ~attempts:0
+let release t =
+  let before = Vm.resident_bytes t.vm in
+  let transfer = ref 0 and span_bytes = ref 0 in
+  List.iter
+    (fun span ->
+      transfer := !transfer + (span.n_deferred * span.sp_obj);
+      drain_deferred t span;
+      if span.n_free = span.sp_cap then begin
+        if span.state = Sp_active then begin
+          let heap = heap_for t span.owner in
+          heap.h_active.(span.sp_cls) <- None
+        end;
+        span.state <- Sp_partial;
+        span_bytes := !span_bytes + span_size;
+        release_span t span
+      end)
+    (spans_by_base t);
+  Array.iter
+    (fun heap ->
+      List.iter (fun (base, chunk) -> return_span_to_chunk t base chunk) heap.h_cache;
+      heap.h_cache <- [];
+      heap.h_cache_len <- 0)
+    t.heaps;
+  List.iter (fun (base, chunk) -> return_span_to_chunk t base chunk) t.g_cache;
+  t.g_cache <- [];
+  t.g_cache_len <- 0;
+  {
+    Malloc.front_end_bytes = 0;
+    transfer_bytes = !transfer;
+    cfl_span_bytes = !span_bytes;
+    os_released_bytes = before - Vm.resident_bytes t.vm;
+  }
 
 let free t ~cpu addr ~size =
   if size <= 0 then invalid_arg "Rpmalloc_model.free: size must be positive";
@@ -620,44 +584,10 @@ let cpu_idle ?(flush = false) t ~cpu =
   Vcpu.release t.vcpus ~phys_cpu:cpu
 
 let heap_stats t =
-  let live_requested = Telemetry.live_requested_bytes t.tel in
-  let live_rounded = Telemetry.live_rounded_bytes t.tel in
-  let external_frag = t.fe_bytes + t.def_bytes + t.slack_bytes + t.ph_bytes in
-  {
-    Malloc.live_requested_bytes = live_requested;
-    live_rounded_bytes = live_rounded;
-    front_end_cached_bytes = t.fe_bytes;
-    transfer_cached_bytes = t.def_bytes;
-    cfl_fragmented_bytes = t.slack_bytes;
-    pageheap_fragmented_bytes = t.ph_bytes;
-    internal_fragmentation_bytes = Telemetry.internal_fragmentation_bytes t.tel;
-    external_fragmentation_bytes = external_frag;
-    resident_bytes = Vm.resident_bytes t.vm;
-  }
+  Malloc.stats_of_tiers t.tel t.vm ~front_end:t.fe_bytes ~transfer:t.def_bytes
+    ~cfl:t.slack_bytes ~pageheap:t.ph_bytes
 
-let resident_bytes t = Vm.resident_bytes t.vm
-
-let live_fragmentation_ratio t =
-  let live = Telemetry.live_requested_bytes t.tel in
-  if live = 0 then 0.0
-  else begin
-    let internal = Telemetry.internal_fragmentation_bytes t.tel in
-    let external_frag = t.fe_bytes + t.def_bytes + t.slack_bytes + t.ph_bytes in
-    float_of_int (external_frag + internal) /. float_of_int live
-  end
-
-(* rpmalloc never subreleases inside a chunk, so every mapped hugepage
-   stays intact: coverage is 1.0 whenever anything is mapped. *)
-let hugepage_coverage t =
-  let mapped = Vm.mapped_bytes t.vm in
-  if mapped = 0 then 1.0 else float_of_int (Vm.huge_backed_bytes t.vm) /. float_of_int mapped
-
-let telemetry t = t.tel
-let vm t = t.vm
-let vcpus t = t.vcpus
-let config t = t.config
-let topology t = t.topology
-let clock t = t.clock
+let external_bytes t = t.fe_bytes + t.def_bytes + t.slack_bytes + t.ph_bytes
 
 let audit t =
   let violations = ref [] in
@@ -692,23 +622,4 @@ let audit t =
   if ph <> t.ph_bytes then
     add "filler-accounting"
       (Printf.sprintf "free-span walk %d B <> counter %d B" ph t.ph_bytes);
-  let resident = Vm.resident_bytes t.vm in
-  let live_rounded = Telemetry.live_rounded_bytes t.tel in
-  let accounted = live_rounded + t.fe_bytes + t.def_bytes + t.slack_bytes + t.ph_bytes in
-  if accounted <> resident then
-    add "byte-conservation"
-      (Printf.sprintf "live %d + cached %d <> resident %d" live_rounded
-         (accounted - live_rounded) resident);
-  (match Vm.hard_limit t.vm with
-  | Some limit when resident > limit ->
-    add "hard-limit" (Printf.sprintf "resident %d B above hard limit %d B" resident limit)
-  | Some _ | None -> ());
-  let hugepages = ref 0 in
-  Vm.iter_hugepages t.vm (fun ~base:_ ~huge:_ ~subreleased_pages:_ -> incr hugepages);
-  {
-    Audit.time = Clock.now t.clock;
-    spans_walked = !spans_walked;
-    hugepages_walked = !hugepages;
-    stranded_bytes = 0;
-    violations = List.rev !violations;
-  }
+  (!spans_walked, List.rev !violations)

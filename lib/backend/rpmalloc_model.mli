@@ -1,6 +1,8 @@
 (** rpmalloc-style allocator model (see the .ml header for the design and
-    its deliberate simplifications).  Consumed via {!Backend}; the direct
-    API exists for the unit tests. *)
+    its deliberate simplifications): only the algorithm.  {!Backend} owns
+    the process state it shares with the other models and runs the
+    reclaim-retry loop, the stats record and the audit's closing checks;
+    the tests use the size-class constants directly. *)
 
 type addr = int
 type t
@@ -11,26 +13,33 @@ val class_count : int
 val class_of_size : int -> int
 val class_size : int -> int
 
-val create :
-  ?config:Wsc_tcmalloc.Config.t ->
-  topology:Wsc_hw.Topology.t ->
-  clock:Wsc_substrate.Clock.t ->
-  unit ->
-  t
+val create : vm:Wsc_os.Vm.t -> vcpus:Wsc_os.Vcpu.t -> tel:Wsc_tcmalloc.Telemetry.t -> t
+(** A model that maps from [vm], binds physical CPUs through [vcpus] and
+    counts into [tel]. *)
 
 val malloc : t -> cpu:int -> size:int -> addr
+(** One attempt at [size > 0] bytes.
+    @raise Wsc_os.Vm.Mmap_failed when the VM refuses a mapping. *)
+
 val free : t -> cpu:int -> addr -> size:int -> unit
-val release_memory : t -> target_bytes:int -> Wsc_tcmalloc.Malloc.reclaim_outcome
+(** @raise Invalid_argument on a wild, misaligned, double or wrong-size
+    free. *)
+
+val release : t -> Wsc_tcmalloc.Malloc.reclaim_outcome
+(** Sweep everything reclaimable, whatever the target: adopt deferred
+    frees, return every fully-free span and cached span to its chunk, and
+    unmap empty chunks.  Records no telemetry. *)
+
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 
 val heap_stats : t -> Wsc_tcmalloc.Malloc.heap_stats
-val resident_bytes : t -> int
-val live_fragmentation_ratio : t -> float
-val hugepage_coverage : t -> float
-val telemetry : t -> Wsc_tcmalloc.Telemetry.t
-val vm : t -> Wsc_os.Vm.t
-val vcpus : t -> Wsc_os.Vcpu.t
-val config : t -> Wsc_tcmalloc.Config.t
-val topology : t -> Wsc_hw.Topology.t
-val clock : t -> Wsc_substrate.Clock.t
-val audit : t -> Wsc_tcmalloc.Audit.report
+(** Free objects on span stacks are [front_end_cached_bytes], deferred
+    cross-CPU frees [transfer_cached_bytes], carve slack
+    [cfl_fragmented_bytes] and free spans [pageheap_fragmented_bytes]. *)
+
+val external_bytes : t -> int
+(** The four tiers' sum, without building {!heap_stats}. *)
+
+val audit : t -> int * Wsc_tcmalloc.Audit.violation list
+(** Walk every span, cache and chunk against the tier counters: the spans
+    walked and the violations, in walk order. *)

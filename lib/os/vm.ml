@@ -74,7 +74,7 @@ let set_fault_hook t hook = t.fault_hook <- hook
 let set_pressure_hook t hook = t.pressure_hook <- hook
 
 let external_pressure_bytes t =
-  match t.pressure_hook with None -> 0 | Some f -> max 0 (f ())
+  match t.pressure_hook with None -> 0 | Some f -> Int.max 0 (f ())
 
 let resident_bytes_internal t =
   (t.mapped_count * hugepage_size) - (t.subreleased_total * page_size)
@@ -82,7 +82,7 @@ let resident_bytes_internal t =
 let soft_limit_excess t =
   match t.soft_limit with
   | None -> 0
-  | Some soft -> max 0 (resident_bytes_internal t + external_pressure_bytes t - soft)
+  | Some soft -> Int.max 0 (resident_bytes_internal t + external_pressure_bytes t - soft)
 
 let fail t reason =
   t.mmap_failures <- t.mmap_failures + 1;
@@ -143,7 +143,7 @@ let subrelease t addr ~pages =
     t.huge_count <- t.huge_count - 1
   end;
   let before = s.subreleased_pages in
-  s.subreleased_pages <- min pages_per_hugepage (s.subreleased_pages + pages);
+  s.subreleased_pages <- Int.min pages_per_hugepage (s.subreleased_pages + pages);
   t.subreleased_total <- t.subreleased_total + (s.subreleased_pages - before);
   t.subrelease_calls <- t.subrelease_calls + 1
 
@@ -151,7 +151,7 @@ let reclaim t addr ~pages =
   if pages <= 0 then invalid_arg "Vm.reclaim: pages must be positive";
   let s = state_exn t addr "Vm.reclaim" in
   let before = s.subreleased_pages in
-  s.subreleased_pages <- max 0 (s.subreleased_pages - pages);
+  s.subreleased_pages <- Int.max 0 (s.subreleased_pages - pages);
   t.subreleased_total <- t.subreleased_total - (before - s.subreleased_pages);
   t.reclaim_calls <- t.reclaim_calls + 1
 
@@ -165,6 +165,10 @@ let is_huge_backed t addr =
 let mapped_bytes t = t.mapped_count * hugepage_size
 let resident_bytes t = resident_bytes_internal t
 let huge_backed_bytes t = t.huge_count * hugepage_size
+
+let hugepage_coverage t =
+  if t.mapped_count = 0 then 1.0
+  else float_of_int (huge_backed_bytes t) /. float_of_int (mapped_bytes t)
 
 let mmap_calls t = t.mmap_calls
 let munmap_calls t = t.munmap_calls

@@ -99,6 +99,10 @@ val resident_bytes : t -> int
 val huge_backed_bytes : t -> int
 (** Bytes residing in intact (THP-backed) hugepages. *)
 
+val hugepage_coverage : t -> float
+(** {!huge_backed_bytes} over {!mapped_bytes}; 1.0 when nothing is
+    mapped. *)
+
 val mmap_calls : t -> int
 val munmap_calls : t -> int
 val subrelease_calls : t -> int

@@ -19,11 +19,39 @@ let is_clean r = r.violations = []
 
 let span_kind s = if Span.is_large s then "large" else "small"
 
+(* The VM's O(1) resident / huge-backed counters against a full walk of its
+   hugepages, then resident bytes against the hard limit; each violation
+   goes to [push check detail].  Returns the hugepages walked. *)
+let vm_checks vm push =
+  let add check fmt = Printf.ksprintf (push check) fmt in
+  let mapped = ref 0 and huge = ref 0 and subreleased = ref 0 in
+  Vm.iter_hugepages vm (fun ~base ~huge:h ~subreleased_pages ->
+      incr mapped;
+      if h then incr huge;
+      subreleased := !subreleased + subreleased_pages;
+      if subreleased_pages < 0 || subreleased_pages > pages_per_hugepage then
+        add "vm-accounting" "hugepage 0x%x has impossible subreleased_pages=%d" base
+          subreleased_pages);
+  if !mapped * hugepage_size <> Vm.mapped_bytes vm then
+    add "vm-accounting" "walked mapped bytes %d <> Vm.mapped_bytes %d"
+      (!mapped * hugepage_size) (Vm.mapped_bytes vm);
+  if !huge * hugepage_size <> Vm.huge_backed_bytes vm then
+    add "vm-accounting" "walked huge-backed bytes %d <> Vm.huge_backed_bytes %d"
+      (!huge * hugepage_size) (Vm.huge_backed_bytes vm);
+  let walked_resident = (!mapped * hugepage_size) - (!subreleased * page_size) in
+  if walked_resident <> Vm.resident_bytes vm then
+    add "vm-accounting" "walked resident bytes %d <> Vm.resident_bytes %d" walked_resident
+      (Vm.resident_bytes vm);
+  (match Vm.hard_limit vm with
+  | Some limit when Vm.resident_bytes vm > limit ->
+    add "hard-limit" "resident %d exceeds hard limit %d" (Vm.resident_bytes vm) limit
+  | Some _ | None -> ());
+  !mapped
+
 let run m =
   let violations = ref [] in
-  let add check fmt =
-    Printf.ksprintf (fun detail -> violations := { check; detail } :: !violations) fmt
-  in
+  let push check detail = violations := { check; detail } :: !violations in
+  let add check fmt = Printf.ksprintf (push check) fmt in
   let pageheap = Malloc.pageheap m in
   let pm = Pageheap.page_map pageheap in
   let vm = Malloc.vm m in
@@ -117,33 +145,8 @@ let run m =
       done)
     spans;
 
-  (* 5. VM aggregate counters vs a full hugepage walk (the O(1) resident /
-     huge-backed accounting must agree with ground truth). *)
-  let mapped = ref 0 and huge = ref 0 and subreleased = ref 0 in
-  Vm.iter_hugepages vm (fun ~base ~huge:h ~subreleased_pages ->
-      incr mapped;
-      if h then incr huge;
-      subreleased := !subreleased + subreleased_pages;
-      if subreleased_pages < 0 || subreleased_pages > pages_per_hugepage then
-        add "vm-accounting" "hugepage 0x%x has impossible subreleased_pages=%d" base
-          subreleased_pages);
-  let n_hugepages = !mapped in
-  if !mapped * hugepage_size <> Vm.mapped_bytes vm then
-    add "vm-accounting" "walked mapped bytes %d <> Vm.mapped_bytes %d"
-      (!mapped * hugepage_size) (Vm.mapped_bytes vm);
-  if !huge * hugepage_size <> Vm.huge_backed_bytes vm then
-    add "vm-accounting" "walked huge-backed bytes %d <> Vm.huge_backed_bytes %d"
-      (!huge * hugepage_size) (Vm.huge_backed_bytes vm);
-  let walked_resident = (!mapped * hugepage_size) - (!subreleased * page_size) in
-  if walked_resident <> Vm.resident_bytes vm then
-    add "vm-accounting" "walked resident bytes %d <> Vm.resident_bytes %d" walked_resident
-      (Vm.resident_bytes vm);
-
-  (* 6. Hard memory limit: resident memory may never exceed it. *)
-  (match Vm.hard_limit vm with
-  | Some limit when Vm.resident_bytes vm > limit ->
-    add "hard-limit" "resident %d exceeds hard limit %d" (Vm.resident_bytes vm) limit
-  | Some _ | None -> ());
+  (* 5-6. VM counters vs a full hugepage walk, and the hard limit. *)
+  let n_hugepages = vm_checks vm push in
 
   (* 7. Filler page-state accounting: used + free + released covers every
      page of every tracked hugepage exactly. *)
@@ -268,6 +271,18 @@ let run m =
     stranded_bytes = !stranded;
     violations = List.rev !violations;
   }
+
+let of_walk ~time (stats : Malloc.heap_stats) vm ~spans_walked violations =
+  let found = ref (List.rev violations) in
+  let push check detail = found := { check; detail } :: !found in
+  let live = stats.Malloc.live_rounded_bytes
+  and cached = stats.Malloc.external_fragmentation_bytes in
+  if live + cached <> stats.Malloc.resident_bytes then
+    push "byte-conservation"
+      (Printf.sprintf "live %d + cached %d <> resident %d" live cached
+         stats.Malloc.resident_bytes);
+  let hugepages_walked = vm_checks vm push in
+  { time; spans_walked; hugepages_walked; stranded_bytes = 0; violations = List.rev !found }
 
 let to_string r =
   if is_clean r then

@@ -51,6 +51,19 @@ val run : Malloc.t -> report
 (** Full heap walk — O(spans x pages + hugepages); call at audit points,
     not per allocation. *)
 
+val of_walk :
+  time:float ->
+  Malloc.heap_stats ->
+  Wsc_os.Vm.t ->
+  spans_walked:int ->
+  violation list ->
+  report
+(** The report of another allocator model's own heap walk, at simulated
+    [time]: its [violations], in walk order, then {b byte-conservation}
+    over the whole heap (resident = live rounded + the four cache tiers of
+    [stats]), then the {b vm-accounting} and {b hard-limit} checks {!run}
+    makes. *)
+
 val is_clean : report -> bool
 
 val to_string : report -> string

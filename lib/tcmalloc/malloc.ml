@@ -56,6 +56,13 @@ type reclaim_outcome = {
 let zero_reclaim =
   { front_end_bytes = 0; transfer_bytes = 0; cfl_span_bytes = 0; os_released_bytes = 0 }
 
+let record_reclaim tel r =
+  Telemetry.record_reclaim_event tel;
+  Telemetry.record_reclaim tel Telemetry.Front_end r.front_end_bytes;
+  Telemetry.record_reclaim tel Telemetry.Transfer r.transfer_bytes;
+  Telemetry.record_reclaim tel Telemetry.Cfl_spans r.cfl_span_bytes;
+  Telemetry.record_reclaim tel Telemetry.Os_release r.os_released_bytes
+
 (* The graceful reclaim cascade (TCMalloc's ReleaseMemoryToSystem under
    memory-limit pressure): drain tiers in cost order — per-CPU caches, then
    the transfer cache, letting drained spans fall back to the pageheap —
@@ -66,7 +73,6 @@ let release_memory t ~target_bytes =
   if target_bytes <= 0 then zero_reclaim
   else begin
     let now = Clock.now t.clock in
-    Telemetry.record_reclaim_event t.telemetry;
     let cfl_before = Central_free_list.released_span_bytes t.cfl in
     let fe =
       if Pageheap.release_backlog_bytes t.pageheap >= target_bytes then 0
@@ -78,11 +84,11 @@ let release_memory t ~target_bytes =
     in
     let cfl = Central_free_list.released_span_bytes t.cfl - cfl_before in
     let os = Pageheap.release_memory t.pageheap ~max_bytes:target_bytes in
-    Telemetry.record_reclaim t.telemetry Telemetry.Front_end fe;
-    Telemetry.record_reclaim t.telemetry Telemetry.Transfer tr;
-    Telemetry.record_reclaim t.telemetry Telemetry.Cfl_spans cfl;
-    Telemetry.record_reclaim t.telemetry Telemetry.Os_release os;
-    { front_end_bytes = fe; transfer_bytes = tr; cfl_span_bytes = cfl; os_released_bytes = os }
+    let r =
+      { front_end_bytes = fe; transfer_bytes = tr; cfl_span_bytes = cfl; os_released_bytes = os }
+    in
+    record_reclaim t.telemetry r;
+    r
   end
 
 let remember_domain t ~vcpu ~cpu =
@@ -493,42 +499,42 @@ type heap_stats = {
   resident_bytes : int;
 }
 
-let heap_stats t =
-  let front_end = Per_cpu_cache.cached_bytes t.pcc in
-  let transfer = Transfer_cache.cached_bytes t.tc in
-  let cfl = Central_free_list.fragmented_bytes t.cfl in
-  let ph = Pageheap.fragmented_bytes t.pageheap in
+let[@inline] stats_of_tiers tel vm ~front_end ~transfer ~cfl ~pageheap =
   {
-    live_requested_bytes = Telemetry.live_requested_bytes t.telemetry;
-    live_rounded_bytes = Telemetry.live_rounded_bytes t.telemetry;
+    live_requested_bytes = Telemetry.live_requested_bytes tel;
+    live_rounded_bytes = Telemetry.live_rounded_bytes tel;
     front_end_cached_bytes = front_end;
     transfer_cached_bytes = transfer;
     cfl_fragmented_bytes = cfl;
-    pageheap_fragmented_bytes = ph;
-    internal_fragmentation_bytes = Telemetry.internal_fragmentation_bytes t.telemetry;
-    external_fragmentation_bytes = front_end + transfer + cfl + ph;
-    resident_bytes = Vm.resident_bytes t.vm;
+    pageheap_fragmented_bytes = pageheap;
+    internal_fragmentation_bytes = Telemetry.internal_fragmentation_bytes tel;
+    external_fragmentation_bytes = front_end + transfer + cfl + pageheap;
+    resident_bytes = Vm.resident_bytes vm;
   }
+
+let heap_stats t =
+  stats_of_tiers t.telemetry t.vm ~front_end:(Per_cpu_cache.cached_bytes t.pcc)
+    ~transfer:(Transfer_cache.cached_bytes t.tc)
+    ~cfl:(Central_free_list.fragmented_bytes t.cfl)
+    ~pageheap:(Pageheap.fragmented_bytes t.pageheap)
 
 let hugepage_coverage t = Pageheap.hugepage_coverage t.pageheap
 
-(* Allocation-free observation accessors for the driver's per-epoch memory
-   sampling: [heap_stats] builds a record (plus three component walks) each
-   call, which dominated the epoch loop's allocation budget. *)
-let resident_bytes t = Vm.resident_bytes t.vm
+(* The driver samples this every epoch: [heap_stats] would build a record
+   each call, which dominated the epoch loop's allocation budget. *)
+let[@inline] fragmentation_of tel ~external_bytes =
+  let live = Telemetry.live_requested_bytes tel in
+  if live <= 0 then 0.0
+  else
+    float_of_int (external_bytes + Telemetry.internal_fragmentation_bytes tel)
+    /. float_of_int live
 
 let[@inline] live_fragmentation_ratio t =
-  let live = Telemetry.live_requested_bytes t.telemetry in
-  if live <= 0 then 0.0
-  else begin
-    let fragmented =
-      Per_cpu_cache.cached_bytes t.pcc + Transfer_cache.cached_bytes t.tc
+  fragmentation_of t.telemetry
+    ~external_bytes:
+      (Per_cpu_cache.cached_bytes t.pcc + Transfer_cache.cached_bytes t.tc
       + Central_free_list.fragmented_bytes t.cfl
-      + Pageheap.fragmented_bytes t.pageheap
-      + Telemetry.internal_fragmentation_bytes t.telemetry
-    in
-    float_of_int fragmented /. float_of_int live
-  end
+      + Pageheap.fragmented_bytes t.pageheap)
 
 let fragmentation_ratio stats =
   if stats.live_requested_bytes <= 0 then 0.0
@@ -549,5 +555,4 @@ let vm t = t.vm
 let vcpus t = t.vcpus
 let sampler t = t.sampler
 let config t = t.config
-let topology t = t.topology
 let clock t = t.clock

@@ -91,6 +91,13 @@ val release_memory : t -> target_bytes:int -> reclaim_outcome
     {!Wsc_os.Vm.soft_limit_excess} is positive, and from [malloc]'s
     retry-with-reclaim loop after an mmap failure. *)
 
+val zero_reclaim : reclaim_outcome
+(** What a reclaim with [target_bytes <= 0] returns: nothing released. *)
+
+val record_reclaim : Telemetry.t -> reclaim_outcome -> unit
+(** Count one reclaim event and each tier's contribution: the telemetry
+    every backend's reclaim records. *)
+
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 (** Tell the allocator a physical CPU stopped running this process's
     threads (its vCPU id becomes reusable).  With [flush:true] — what CPU
@@ -127,6 +134,18 @@ type heap_stats = {
 val heap_stats : t -> heap_stats
 (** Cheap (O(size classes + vCPUs)) snapshot, safe to sample every epoch. *)
 
+val stats_of_tiers :
+  Telemetry.t ->
+  Wsc_os.Vm.t ->
+  front_end:int ->
+  transfer:int ->
+  cfl:int ->
+  pageheap:int ->
+  heap_stats
+(** The stats of a heap whose four cache tiers hold these bytes: the live
+    and internal-fragmentation bytes come from the telemetry, resident
+    bytes from the VM.  Every backend's {!heap_stats} is built here. *)
+
 val hugepage_coverage : t -> float
 (** Fraction of in-use bytes on intact hugepages (Fig. 17a).  Walks every
     hugepage and span placement — call sparingly. *)
@@ -134,12 +153,14 @@ val hugepage_coverage : t -> float
 val fragmentation_ratio : heap_stats -> float
 (** (external + internal) / live requested — the Fig. 5b metric. *)
 
-val resident_bytes : t -> int
-(** [(heap_stats t).resident_bytes] without building the record. *)
+val fragmentation_of : Telemetry.t -> external_bytes:int -> float
+(** {!fragmentation_ratio} of a heap whose four cache tiers hold
+    [external_bytes], without building the stats record: the
+    allocation-free form for per-epoch sampling loops, shared by every
+    backend. *)
 
 val live_fragmentation_ratio : t -> float
-(** [fragmentation_ratio (heap_stats t)] without building the record —
-    the allocation-free form for per-epoch sampling loops. *)
+(** [fragmentation_ratio (heap_stats t)], through {!fragmentation_of}. *)
 
 val telemetry : t -> Telemetry.t
 
@@ -154,5 +175,4 @@ val vm : t -> Wsc_os.Vm.t
 val vcpus : t -> Wsc_os.Vcpu.t
 val sampler : t -> Sampler.t
 val config : t -> Config.t
-val topology : t -> Wsc_hw.Topology.t
 val clock : t -> Wsc_substrate.Clock.t
