@@ -208,7 +208,7 @@ let[@inline] push t key ~a ~b ~c =
 let sort_bucket bk =
   let keys = bk.keys and ticks = bk.ticks in
   let ea = bk.ea and eb = bk.eb and ec = bk.ec and seq = bk.seq in
-  for i = max 1 bk.sorted to bk.blen - 1 do
+  for i = Int.max 1 bk.sorted to bk.blen - 1 do
     let k = keys.(i) and tk = ticks.(i) in
     let a = ea.(i) and b = eb.(i) and c = ec.(i) and s = seq.(i) in
     let j = ref (i - 1) in
@@ -282,7 +282,10 @@ let cascade t bk start =
   done;
   bucket_release bk
 
-let drain_until t bound f =
+(* Pops every due event.  The callback gets no key: the driver's free
+   events ignore their timestamp, and passing a float to a non-inlined
+   closure boxes it — two minor words per event on the hottest path. *)
+let drain_payloads t bound f =
   if t.len > 0 && bound >= 0.0 then begin
     let target =
       if bound >= float_of_int max_tick then max_tick else int_of_float bound
@@ -307,74 +310,6 @@ let drain_until t bound f =
           bk.blen <- 0;
           t.len <- t.len - n;
           for i = 0 to n - 1 do
-            f ~key:bk.keys.(i) ~a:bk.ea.(i) ~b:bk.eb.(i) ~c:bk.ec.(i)
-          done;
-          bucket_release bk;
-          t.cur <- bucket_end
-        end
-        else begin
-          (* The bucket containing [bound]: emit the due prefix, retain the
-             rest, and stop — no other bucket starts at or before target. *)
-          let n = bk.blen in
-          let e = ref 0 in
-          while !e < n && bk.keys.(!e) <= bound do incr e done;
-          let emitted = !e in
-          for i = 0 to emitted - 1 do
-            f ~key:bk.keys.(i) ~a:bk.ea.(i) ~b:bk.eb.(i) ~c:bk.ec.(i)
-          done;
-          if emitted > 0 then begin
-            let m = n - emitted in
-            for i = 0 to m - 1 do
-              let src = emitted + i in
-              bk.keys.(i) <- bk.keys.(src);
-              bk.ticks.(i) <- bk.ticks.(src);
-              bk.ea.(i) <- bk.ea.(src);
-              bk.eb.(i) <- bk.eb.(src);
-              bk.ec.(i) <- bk.ec.(src);
-              bk.seq.(i) <- bk.seq.(src)
-            done;
-            bk.blen <- m;
-            bk.sorted <- m;
-            t.len <- t.len - emitted;
-            if m = 0 then begin
-              bucket_release bk;
-              if target + 1 > t.cur then t.cur <- target + 1
-            end
-          end;
-          continue := false
-        end
-      end
-    done;
-    if t.len = 0 && target + 1 > t.cur then t.cur <- target + 1
-  end
-
-(* [drain_until] without the key in the callback: the driver's free events
-   ignore their timestamp, and passing a float to a non-inlined closure
-   boxes it — two minor words per event on the hottest path. *)
-let drain_payloads t bound f =
-  if t.len > 0 && bound >= 0.0 then begin
-    let target =
-      if bound >= float_of_int max_tick then max_tick else int_of_float bound
-    in
-    let continue = ref true in
-    while !continue && t.len > 0 do
-      next_occupied t;
-      let l = t.no_level and idx = t.no_index and start = t.no_start in
-      if start > target then begin
-        if target + 1 > t.cur then t.cur <- target + 1;
-        continue := false
-      end
-      else if l > 0 then cascade t (Array.unsafe_get t.buckets idx) start
-      else begin
-        if start > t.cur then t.cur <- start;
-        let bk = Array.unsafe_get t.buckets idx in
-        sort_bucket bk;
-        let bucket_end = start + bucket_width_ns in
-        if bucket_end <= target then begin
-          let n = bk.blen in
-          bk.blen <- 0;
-          t.len <- t.len - n;
-          for i = 0 to n - 1 do
             f ~a:(Array.unsafe_get bk.ea i) ~b:(Array.unsafe_get bk.eb i)
               ~c:(Array.unsafe_get bk.ec i)
           done;
@@ -382,6 +317,8 @@ let drain_payloads t bound f =
           t.cur <- bucket_end
         end
         else begin
+          (* The bucket containing [bound]: emit the due prefix, retain the
+             rest, and stop — no other bucket starts at or before target. *)
           let n = bk.blen in
           let e = ref 0 in
           while !e < n && bk.keys.(!e) <= bound do incr e done;

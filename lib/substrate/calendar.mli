@@ -9,8 +9,8 @@
     overflow path.  Level-0 buckets are {!bucket_width_ns} wide, about one
     1 ms driver epoch.
 
-    Ordering contract: [drain_until] delivers events in nondecreasing key
-    order; events with equal keys are delivered in push (FIFO) order.
+    Ordering contract: [drain_payloads] delivers events in nondecreasing
+    key order; events with equal keys are delivered in push (FIFO) order.
 
     The drain callback must not push events into the queue being drained
     (the driver's free events satisfy this); pushes between drains are
@@ -31,10 +31,7 @@ val push : t -> float -> a:int -> b:int -> c:int -> unit
 (** Insert an event with three unboxed int payload slots.
     @raise Invalid_argument if the key is negative or NaN. *)
 
-val drain_until : t -> float -> (key:float -> a:int -> b:int -> c:int -> unit) -> unit
-(** Pop every event with [key <= bound] in (key, insertion) order. *)
-
 val drain_payloads : t -> float -> (a:int -> b:int -> c:int -> unit) -> unit
-(** {!drain_until} without the key in the callback.  Passing a float to a
-    non-inlined closure boxes it, so key-oblivious consumers (the workload
-    driver's free events) save two minor words per event here. *)
+(** Pop every event with [key <= bound] in (key, insertion) order.  The
+    callback gets no key: passing a float to a non-inlined closure boxes
+    it, and the workload driver's free events ignore their timestamp. *)

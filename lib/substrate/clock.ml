@@ -1,12 +1,7 @@
-type ticker = { id : int; period : float; action : float -> unit; mutable live : bool }
+type ticker = { period : float; action : float -> unit }
+type t = { mutable now : float; queue : ticker Binheap.t }
 
-type t = {
-  mutable now : float;
-  queue : ticker Binheap.t;
-  mutable next_id : int;
-}
-
-let create () = { now = 0.0; queue = Binheap.create (); next_id = 0 }
+let create () = { now = 0.0; queue = Binheap.create () }
 let[@inline] now t = t.now
 
 let advance_to t target =
@@ -17,11 +12,9 @@ let advance_to t target =
       match Binheap.peek t.queue with
       | Some (deadline, ticker) when deadline <= target ->
         ignore (Binheap.pop t.queue);
-        if ticker.live then begin
-          t.now <- Float.max t.now deadline;
-          ticker.action t.now;
-          Binheap.push t.queue (deadline +. ticker.period) ticker
-        end;
+        t.now <- Float.max t.now deadline;
+        ticker.action t.now;
+        Binheap.push t.queue (deadline +. ticker.period) ticker;
         drain ()
       | Some _ | None -> ()
     in
@@ -35,9 +28,4 @@ let advance t dt =
 
 let every t ~period action =
   if period <= 0.0 then invalid_arg "Clock.every: period must be positive";
-  let ticker = { id = t.next_id; period; action; live = true } in
-  t.next_id <- t.next_id + 1;
-  Binheap.push t.queue (t.now +. period) ticker;
-  ticker
-
-let cancel _t ticker = ticker.live <- false
+  Binheap.push t.queue (t.now +. period) { period; action }

@@ -20,11 +20,7 @@ val advance : t -> float -> unit
 val advance_to : t -> float -> unit
 (** Move to an absolute time (no-op if in the past). *)
 
-type ticker
-
-val every : t -> period:float -> (float -> unit) -> ticker
-(** [every t ~period f] calls [f now] each time [period] ns elapse.  The
-    first firing is one period from registration time. *)
-
-val cancel : t -> ticker -> unit
-(** Stop a ticker; idempotent. *)
+val every : t -> period:float -> (float -> unit) -> unit
+(** [every t ~period f] calls [f now] each time [period] ns elapse, for
+    the rest of the clock's life.  The first firing is one period from
+    registration time. *)

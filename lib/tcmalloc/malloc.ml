@@ -146,17 +146,17 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
   in
   if config.Config.dynamic_per_cpu_caches then begin
     let resize now = Per_cpu_cache.resize t.pcc ~evict:(evict_to_transfer t ~now) in
-    ignore (Clock.every clock ~period:config.Config.resize_interval_ns resize)
+    Clock.every clock ~period:config.Config.resize_interval_ns resize
   end;
   let decay now = Per_cpu_cache.decay_tick t.pcc ~evict:(evict_to_transfer t ~now) in
-  ignore (Clock.every clock ~period:Units.sec decay);
+  Clock.every clock ~period:Units.sec decay;
   (* Soft-limit watchdog: when resident + external pressure exceeds the soft
      limit, run the reclaim cascade for the excess. *)
   let soft_limit_check _now =
     let excess = Vm.soft_limit_excess t.vm in
     if excess > 0 then ignore (release_memory t ~target_bytes:excess)
   in
-  ignore (Clock.every clock ~period:config.Config.soft_limit_check_interval_ns soft_limit_check);
+  Clock.every clock ~period:config.Config.soft_limit_check_interval_ns soft_limit_check;
   (* Stranded-cache reclaim: periodically drain the caches of vCPU ids that
      churn or pool shrink retired, so their contents rejoin the transfer
      cache instead of stranding until the id happens to be reused. *)
@@ -173,17 +173,16 @@ let create ?(config = Config.baseline) ?rseq ?span_snapshot_interval_ns ~topolog
         Hashtbl.remove t.stranded_pending vcpu)
       pending
   in
-  ignore
-    (Clock.every clock ~period:config.Config.stranded_reclaim_interval_ns stranded_reclaim);
+  Clock.every clock ~period:config.Config.stranded_reclaim_interval_ns stranded_reclaim;
   let release now = Transfer_cache.release_tick t.tc ~now in
-  ignore (Clock.every clock ~period:config.Config.transfer_release_interval_ns release);
+  Clock.every clock ~period:config.Config.transfer_release_interval_ns release;
   let pageheap_release _now = Pageheap.background_release t.pageheap in
-  ignore (Clock.every clock ~period:config.Config.pageheap_release_interval_ns pageheap_release);
+  Clock.every clock ~period:config.Config.pageheap_release_interval_ns pageheap_release;
   (match span_snapshot_interval_ns with
   | None -> ()
   | Some period ->
     let snapshot now = Central_free_list.snapshot t.cfl ~now in
-    ignore (Clock.every clock ~period snapshot));
+    Clock.every clock ~period snapshot);
   t
 
 let charge t tier = Telemetry.charge_tier t.telemetry tier (Cost_model.tier_hit_ns tier)

@@ -31,15 +31,17 @@ let alloc_rate_per_sec r =
   else float_of_int r.allocations /. (r.duration_ns /. Units.sec)
 
 (* Bounded live-bytes series, same cap/stride-doubling discipline as the
-   driver's series accumulators: when the series hits [cap] samples, every
-   other one is dropped in place and the sampling stride doubles, keeping
-   at most [cap] evenly spaced points however long the trace runs. *)
+   driver's series accumulators: when the series hits [curve_cap] samples,
+   every other one is dropped in place and the sampling stride doubles,
+   keeping at most [curve_cap] evenly spaced points however long the trace
+   runs. *)
+let curve_cap = 512
+
 type series = {
   mutable samples : (float * int) list;  (* newest first *)
   mutable n : int;
   mutable stride : int;
   mutable tick : int;
-  cap : int;
 }
 
 let series_add s point =
@@ -47,7 +49,7 @@ let series_add s point =
   if s.tick mod s.stride = 0 then begin
     s.samples <- point :: s.samples;
     s.n <- s.n + 1;
-    if s.cap > 0 && s.n >= s.cap then begin
+    if s.n >= curve_cap then begin
       let keep = ref [] and k = ref 0 in
       List.iter
         (fun p ->
@@ -60,7 +62,7 @@ let series_add s point =
     end
   end
 
-let scan ?(curve_cap = 512) reader =
+let scan reader =
   let live : (int, int * int * float) Hashtbl.t = Hashtbl.create 4096 in
   (* id -> (size, cpu, birth_ns) *)
   let allocations = ref 0
@@ -80,7 +82,7 @@ let scan ?(curve_cap = 512) reader =
   and size_bytes = Histogram.create ()
   and lifetime_count = Histogram.create ()
   and lifetime_bytes = Histogram.create () in
-  let curve = { samples = []; n = 0; stride = 1; tick = 0; cap = curve_cap } in
+  let curve = { samples = []; n = 0; stride = 1; tick = 0 } in
   Reader.iter reader (fun ev ->
       match ev with
       | Event.Alloc { id; size; cpu } ->
@@ -141,8 +143,7 @@ let scan ?(curve_cap = 512) reader =
     live_curve = List.rev curve.samples;
   }
 
-let scan_file ?curve_cap path =
-  Reader.with_file path (fun reader -> scan ?curve_cap reader)
+let scan_file path = Reader.with_file path scan
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
@@ -195,9 +196,9 @@ let live_curve_table ?(rows = 12) r =
   let curve = Array.of_list r.live_curve in
   let n = Array.length curve in
   if n > 0 then begin
-    let rows = min rows n in
+    let rows = Int.min rows n in
     for i = 0 to rows - 1 do
-      let at, bytes = curve.(i * (n - 1) / max 1 (rows - 1)) in
+      let at, bytes = curve.(i * (n - 1) / Int.max 1 (rows - 1)) in
       Table.add_row t [ Table.cell_duration at; Table.cell_bytes bytes ]
     done
   end;

@@ -37,11 +37,11 @@ type report = {
       (** [(time_ns, live_bytes)] at bounded, evenly spaced points. *)
 }
 
-val scan : ?curve_cap:int -> Reader.t -> report
-(** Stream the reader (consuming it) into a report.  [curve_cap] bounds
-    the live-curve sample count (default 512; [0] keeps every epoch). *)
+val scan : Reader.t -> report
+(** Stream the reader (consuming it) into a report.  The live curve keeps
+    at most 512 samples. *)
 
-val scan_file : ?curve_cap:int -> string -> report
+val scan_file : string -> report
 
 val render : report -> string
 (** The report as aligned ASCII tables: summary, size CDF, lifetime CDF,

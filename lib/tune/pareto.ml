@@ -15,14 +15,12 @@ type entry = { e_genome : int array; e_rss : int; e_ns : float }
 
    The total order breaks objective ties by genome so the minimum is
    unique, never first-seen-wins. *)
-type t = {
-  resolution : int;  (* buckets per doubling of each objective *)
-  buckets : (int * int, entry) Hashtbl.t;
-}
+type t = { buckets : (int * int, entry) Hashtbl.t }
 
-let create ?(resolution = 16) () =
-  if resolution <= 0 then invalid_arg "Pareto.create: resolution must be positive";
-  { resolution; buckets = Hashtbl.create 64 }
+(* Buckets per doubling of each objective. *)
+let resolution = 16
+
+let create () = { buckets = Hashtbl.create 64 }
 
 let order a b =
   let c = compare a.e_rss b.e_rss in
@@ -36,14 +34,14 @@ let dominates a b =
 
 let log2 x = log x /. log 2.0
 
-let bucket_of t e =
-  let q v = int_of_float (Float.floor (float_of_int t.resolution *. log2 (1.0 +. v))) in
+let bucket_of e =
+  let q v = int_of_float (Float.floor (float_of_int resolution *. log2 (1.0 +. v))) in
   (q (float_of_int e.e_rss), q e.e_ns)
 
 let insert t e =
   if e.e_rss < 0 || not (Float.is_finite e.e_ns) || e.e_ns < 0.0 then
     invalid_arg "Pareto.insert: objectives must be non-negative and finite";
-  let b = bucket_of t e in
+  let b = bucket_of e in
   match Hashtbl.find_opt t.buckets b with
   | Some cur when order cur e <= 0 -> ()
   | _ -> Hashtbl.replace t.buckets b e

@@ -1,7 +1,7 @@
 (** Constant-memory Pareto archive over (peak RSS, allocator ns).
 
     An epsilon-grid archive: objective space is quantized into log-scale
-    buckets ([resolution] buckets per doubling) and each bucket keeps
+    buckets (16 buckets per doubling) and each bucket keeps
     exactly one representative — the minimum under a total order that
     breaks objective ties by genome.  Inserts are commutative and
     idempotent, so the archive is a pure function of the {e set} of
@@ -19,8 +19,7 @@ type entry = {
 
 type t
 
-val create : ?resolution:int -> unit -> t
-(** Default resolution: 16 buckets per objective doubling. *)
+val create : unit -> t
 
 val insert : t -> entry -> unit
 (** @raise Invalid_argument on negative or non-finite objectives. *)

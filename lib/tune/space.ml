@@ -153,15 +153,17 @@ let random ~backend rng =
       if active backend i then Rng.int rng knobs.(i).k_card
       else knobs.(i).k_baseline)
 
-(* Per-gene resample at [rate]; if no draw fired, one active gene is
-   forced to a different value so mutation never returns its input
+(* Per-gene resample at [mutation_rate]; if no draw fired, one active gene
+   is forced to a different value so mutation never returns its input
    (unless the backend leaves a single-point space). *)
-let mutate ?(rate = 0.15) ~backend rng g =
+let mutation_rate = 0.15
+
+let mutate ~backend rng g =
   let g = clamp ~backend g in
   let out = Array.copy g in
   let changed = ref false in
   for i = 0 to num_genes - 1 do
-    if active backend i && Rng.bernoulli rng rate then begin
+    if active backend i && Rng.bernoulli rng mutation_rate then begin
       out.(i) <- Rng.int rng knobs.(i).k_card;
       if out.(i) <> g.(i) then changed := true
     end

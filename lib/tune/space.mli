@@ -46,13 +46,9 @@ val of_bytes : backend:Wsc_tcmalloc.Config.backend_kind -> string -> genome
 
 val random : backend:Wsc_tcmalloc.Config.backend_kind -> Wsc_substrate.Rng.t -> genome
 val mutate :
-  ?rate:float ->
-  backend:Wsc_tcmalloc.Config.backend_kind ->
-  Wsc_substrate.Rng.t ->
-  genome ->
-  genome
-(** Per-gene resample at [rate] (default 0.15); guaranteed to differ
-    from its input whenever the active space has more than one point. *)
+  backend:Wsc_tcmalloc.Config.backend_kind -> Wsc_substrate.Rng.t -> genome -> genome
+(** Per-gene resample with probability 0.15; guaranteed to differ from its
+    input whenever the active space has more than one point. *)
 
 val crossover : Wsc_substrate.Rng.t -> genome -> genome -> genome
 (** Uniform crossover of two canonical genomes. *)

@@ -39,7 +39,6 @@ type t = {
   mutable requests : float;
   mutable allocs : int;
   mutable started : bool;
-  lifetime_sample_every : int;
   mutable lifetime_countdown : int;
   (* Telemetry time series in parallel unboxed arrays (one slot per kept
      control-plane tick).  With [series_cap > 0], hitting the cap halves
@@ -51,8 +50,6 @@ type t = {
   mutable series_tick : int;
   thread_times : Fvec.t;
   thread_values : Int_stack.t;
-  rseq_restart_values : Int_stack.t;
-  rseq_stranded_values : Int_stack.t;
   mutable next_thread_update : float;
   mutable rss_stats : Stats.Running.t;
   mutable frag_stats : Stats.Running.t;
@@ -71,12 +68,14 @@ type t = {
   mutable on_free : a:int -> b:int -> c:int -> unit;
 }
 
+let lifetime_sample_every = 64
+
 let record_lifetime_sample t ~size ~lifetime =
   t.lifetime_countdown <- t.lifetime_countdown - 1;
   (* Large objects are rare but carry the interesting lifetime tail
      (Fig. 8's >1 GiB rows); record all of them, and every k-th small one. *)
   if t.lifetime_countdown <= 0 || size >= 1_048_576 then begin
-    if t.lifetime_countdown <= 0 then t.lifetime_countdown <- t.lifetime_sample_every;
+    if t.lifetime_countdown <= 0 then t.lifetime_countdown <- lifetime_sample_every;
     Telemetry.record_lifetime (Backend.telemetry t.backend) ~size ~lifetime_ns:lifetime
   end
 
@@ -89,17 +88,17 @@ let execute_free t ~addr ~size ~thread =
 
 let job_sched platform ~first_cpu profile =
   let cpus =
-    min (Wsc_hw.Topology.num_cpus platform) profile.Profile.threads.Threads.max_threads
+    Int.min (Wsc_hw.Topology.num_cpus platform) profile.Profile.threads.Threads.max_threads
   in
   (* Services whose ceiling exceeds half an LLC domain get spread across
      domains by the scheduler (Sec. 4.2: applications span cache domains
      because they are too large to fit or be scheduled within one). *)
-  let domains = max 1 (min 4 (cpus / 4)) in
+  let domains = Int.max 1 (Int.min 4 (cpus / 4)) in
   if domains > 1 && Wsc_hw.Topology.num_domains platform > 1 then
     Sched.spread platform ~first_cpu ~cpus ~domains
   else Sched.slice platform ~first_cpu ~cpus
 
-let create ?(seed = 1) ?(lifetime_sample_every = 64) ?(series_cap = 0) ?faults ?probe
+let create ?(seed = 1) ?(series_cap = 0) ?faults ?probe
     ?audit_interval_ns ~profile ~sched ~backend ~clock () =
   let num_cpus = Wsc_hw.Topology.num_cpus (Backend.topology backend) in
   let t =
@@ -111,23 +110,20 @@ let create ?(seed = 1) ?(lifetime_sample_every = 64) ?(series_cap = 0) ?faults ?
       rng = Rng.create seed;
       pending_frees = Calendar.create ();
       active_threads = 1;
-      active_cpus = Array.make (max 1 num_cpus) 0;
+      active_cpus = Array.make (Int.max 1 num_cpus) 0;
       n_active_cpus = 0;
-      cpu_mark = Array.make (max 1 num_cpus) false;
+      cpu_mark = Array.make (Int.max 1 num_cpus) false;
       thread_ids = [| Some 0 |];
       next_thread_id = 1;
       requests = 0.0;
       allocs = 0;
       started = false;
-      lifetime_sample_every;
       lifetime_countdown = lifetime_sample_every;
       series_cap;
       series_stride = 1;
       series_tick = 0;
       thread_times = Fvec.create ();
       thread_values = Int_stack.create ();
-      rseq_restart_values = Int_stack.create ();
-      rseq_stranded_values = Int_stack.create ();
       next_thread_update = 0.0;
       rss_stats = Stats.Running.create ();
       frag_stats = Stats.Running.create ();
@@ -149,7 +145,7 @@ let create ?(seed = 1) ?(lifetime_sample_every = 64) ?(series_cap = 0) ?faults ?
 let ensure_mark t cpu =
   let n = Array.length t.cpu_mark in
   if cpu >= n then begin
-    let bigger_mark = Array.make (max (cpu + 1) (2 * n)) false in
+    let bigger_mark = Array.make (Int.max (cpu + 1) (2 * n)) false in
     Array.blit t.cpu_mark 0 bigger_mark 0 n;
     t.cpu_mark <- bigger_mark;
     let bigger = Array.make (Array.length bigger_mark) 0 in
@@ -192,9 +188,6 @@ let record_series t ~now =
   if t.series_tick mod t.series_stride = 0 then begin
     Fvec.push t.thread_times now;
     Int_stack.push t.thread_values t.active_threads;
-    let tel = Backend.telemetry t.backend in
-    Int_stack.push t.rseq_restart_values (Telemetry.rseq_restarts tel);
-    Int_stack.push t.rseq_stranded_values (Telemetry.stranded_reclaim_bytes tel);
     if t.series_cap > 0 && Fvec.length t.thread_times >= t.series_cap then begin
       (* At the cap: keep every other sample in place and double the
          recording stride. *)
@@ -204,15 +197,11 @@ let record_series t ~now =
       while !i < n do
         Fvec.set t.thread_times !k (Fvec.get t.thread_times !i);
         Int_stack.set t.thread_values !k (Int_stack.get t.thread_values !i);
-        Int_stack.set t.rseq_restart_values !k (Int_stack.get t.rseq_restart_values !i);
-        Int_stack.set t.rseq_stranded_values !k (Int_stack.get t.rseq_stranded_values !i);
         incr k;
         i := !i + 2
       done;
       Fvec.truncate t.thread_times !k;
       Int_stack.truncate t.thread_values !k;
-      Int_stack.truncate t.rseq_restart_values !k;
-      Int_stack.truncate t.rseq_stranded_values !k;
       t.series_stride <- t.series_stride * 2
     end
   end
@@ -365,17 +354,6 @@ let thread_series t =
   let out = ref [] in
   for i = Fvec.length t.thread_times - 1 downto 0 do
     out := (Fvec.get t.thread_times i, Int_stack.get t.thread_values i) :: !out
-  done;
-  !out
-
-let rseq_series t =
-  let out = ref [] in
-  for i = Fvec.length t.thread_times - 1 downto 0 do
-    out :=
-      ( Fvec.get t.thread_times i,
-        Int_stack.get t.rseq_restart_values i,
-        Int_stack.get t.rseq_stranded_values i )
-      :: !out
   done;
   !out
 

@@ -44,7 +44,6 @@ val job_sched : Wsc_hw.Topology.t -> first_cpu:int -> Profile.t -> Wsc_os.Sched.
 
 val create :
   ?seed:int ->
-  ?lifetime_sample_every:int ->
   ?series_cap:int ->
   ?faults:Wsc_os.Fault.t ->
   ?probe:probe ->
@@ -58,12 +57,12 @@ val create :
 (** The startup burst (if the profile has one) is issued on the first
     step.
 
-    [series_cap] bounds the {!thread_series}/{!rseq_series} accumulators:
-    once a series reaches the cap, every other sample is dropped in place
-    and the recording stride doubles, so arbitrarily long runs keep at most
-    [series_cap] evenly spaced samples per series instead of growing
-    without bound.  [0] (the default) keeps every sample.  Only the
-    recording cadence changes; the simulation is unaffected.
+    [series_cap] bounds the {!thread_series} accumulator: once the series
+    reaches the cap, every other sample is dropped in place and the
+    recording stride doubles, so arbitrarily long runs keep at most
+    [series_cap] evenly spaced samples instead of growing without bound.
+    [0] (the default) keeps every sample.  Only the recording cadence
+    changes; the simulation is unaffected.
 
     [faults] makes the driver consume the stream's CPU-churn bursts: when
     one fires, every active vCPU retires with its cache flushed to the
@@ -93,14 +92,8 @@ val live_objects : t -> int
 val thread_series : t -> (float * int) list
 (** [(time, active_threads)] samples, ascending. *)
 
-val rseq_series : t -> (float * int * int) list
-(** [(time, cumulative rseq restarts, cumulative stranded-reclaim bytes)]
-    samples taken alongside {!thread_series} — the restart-overhead and
-    stranded-memory trajectories under churn.  All-zero counters without a
-    live injector. *)
-
 val series_samples : t -> int
-(** Samples currently kept per series (both series share the cadence). *)
+(** Samples currently kept in {!thread_series}. *)
 
 val series_stride : t -> int
 (** Current recording stride: 1 until [series_cap] is first hit, then

@@ -38,7 +38,7 @@ let[@inline] sample_size_drifted t rng ~drift =
   (* Drift shifts the small-object mix across neighbouring size classes;
      large buffers keep their standard sizes. *)
   let v = if drift = 1.0 || v > 262144.0 then v else v *. drift in
-  max 1 (int_of_float (Float.round v))
+  Int.max 1 (int_of_float (Float.round v))
 
 let sample_size ?(now = 0.0) t rng =
   sample_size_drifted t rng ~drift:(size_drift_factor t ~now)

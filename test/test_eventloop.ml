@@ -1,6 +1,5 @@
 (* Differential property tests for the event-loop rework: the calendar
-   queue against the binary-heap reference, the payload-only drain against
-   the keyed drain, the guide-table samplers against straight-line
+   queue against the binary-heap reference, the guide-table samplers against straight-line
    reference searches on the same RNG stream, and the unboxed int table
    against a Hashtbl model. *)
 
@@ -102,12 +101,15 @@ let calendar_matches_event_heap =
       let cal = Calendar.create () in
       let heap = Event_heap_reference.create () in
       let cal_out = ref [] and heap_out = ref [] in
+      (* The calendar delivers no key: read it back by push id. *)
+      let keys = Array.make (List.length steps) nan in
       run_schedule steps
         ~push:(fun key seq ->
+          keys.(seq) <- key;
           Calendar.push cal key ~a:seq ~b:(seq * 7) ~c:(seq land 3))
         ~drain:(fun bound ->
-          Calendar.drain_until cal bound (fun ~key ~a ~b ~c ->
-              cal_out := (key, a, b, c) :: !cal_out));
+          Calendar.drain_payloads cal bound (fun ~a ~b ~c ->
+              cal_out := (keys.(a), a, b, c) :: !cal_out));
       run_schedule steps
         ~push:(fun key seq ->
           Event_heap_reference.push heap key ~a:seq ~b:(seq * 7) ~c:(seq land 3))
@@ -130,23 +132,6 @@ let calendar_matches_event_heap =
        in
        fifo cal_out))
 
-(* [drain_payloads] is [drain_until] minus the key argument: identical
-   payload sequence on an identical schedule. *)
-let drain_payloads_matches_drain_until =
-  QCheck.Test.make ~name:"calendar_drain_payloads_matches_drain_until" ~count:200 sched_arb
-    (fun steps ->
-      let c1 = Calendar.create () and c2 = Calendar.create () in
-      let out1 = ref [] and out2 = ref [] in
-      run_schedule steps
-        ~push:(fun key seq -> Calendar.push c1 key ~a:seq ~b:seq ~c:seq)
-        ~drain:(fun bound ->
-          Calendar.drain_until c1 bound (fun ~key:_ ~a ~b ~c -> out1 := (a, b, c) :: !out1));
-      run_schedule steps
-        ~push:(fun key seq -> Calendar.push c2 key ~a:seq ~b:seq ~c:seq)
-        ~drain:(fun bound ->
-          Calendar.drain_payloads c2 bound (fun ~a ~b ~c -> out2 := (a, b, c) :: !out2));
-      !out1 = !out2)
-
 (* Directed regression for the bucket sort watermark: partially drain a
    bucket, append more equal-key events to it, then finish draining — the
    appended suffix must still be sorted into place (a stale watermark
@@ -158,14 +143,14 @@ let watermark_resort () =
   Calendar.push cal 10.0 ~a:1 ~b:0 ~c:0;
   Calendar.push cal 20.0 ~a:2 ~b:0 ~c:0;
   let order = ref [] in
-  let record ~key:_ ~a ~b:_ ~c:_ = order := a :: !order in
-  Calendar.drain_until cal 10.0 record;
+  let record ~a ~b:_ ~c:_ = order := a :: !order in
+  Calendar.drain_payloads cal 10.0 record;
   check_int "first partial drain" 1 (List.length !order);
   (* Append into the same (already sorted, partially drained) bucket. *)
   Calendar.push cal 15.0 ~a:3 ~b:0 ~c:0;
   Calendar.push cal 20.0 ~a:4 ~b:0 ~c:0;
   (* equal-key tie with a=2 *)
-  Calendar.drain_until cal 1023.0 record;
+  Calendar.drain_payloads cal 1023.0 record;
   Alcotest.(check (list int)) "sorted with FIFO ties" [ 1; 3; 2; 4; 0 ] (List.rev !order)
 
 (* Directed boundary case: keys one below, on and one above bucket edges
@@ -173,12 +158,11 @@ let watermark_resort () =
 let bucket_boundaries () =
   let cal = Calendar.create () in
   let w = width in
-  List.iteri
-    (fun i key -> Calendar.push cal key ~a:i ~b:0 ~c:0)
-    [ (2.0 *. w) +. 1.0; w; 2.0 *. w; w -. 1.0; w +. 1.0; (2.0 *. w) -. 1.0 ];
+  let keys = [| (2.0 *. w) +. 1.0; w; 2.0 *. w; w -. 1.0; w +. 1.0; (2.0 *. w) -. 1.0 |] in
+  Array.iteri (fun i key -> Calendar.push cal key ~a:i ~b:0 ~c:0) keys;
   let drained bound =
     let out = ref [] in
-    Calendar.drain_until cal bound (fun ~key ~a:_ ~b:_ ~c:_ -> out := key :: !out);
+    Calendar.drain_payloads cal bound (fun ~a ~b:_ ~c:_ -> out := keys.(a) :: !out);
     List.rev !out
   in
   let check_keys what expect got = Alcotest.(check (list (float 0.0))) what expect got in
@@ -478,7 +462,6 @@ let suite =
       ( "calendar",
         [
           qcheck calendar_matches_event_heap;
-          qcheck drain_payloads_matches_drain_until;
           Alcotest.test_case "watermark resort after partial drain" `Quick watermark_resort;
           Alcotest.test_case "bucket boundaries" `Quick bucket_boundaries;
           Alcotest.test_case "create forces no minor GC" `Quick create_forces_no_minor_gc;

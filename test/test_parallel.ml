@@ -147,7 +147,6 @@ let test_series_cap () =
   check_bool "stride doubled" true (stride > 1 && stride land (stride - 1) = 0);
   let series = Driver.thread_series driver in
   check_int "thread series length" samples (List.length series);
-  check_int "rseq series length" samples (List.length (Driver.rseq_series driver));
   let times = List.map fst series in
   check_bool "times ascending" true (List.sort compare times = times)
 

@@ -26,7 +26,7 @@ let hex_digest (s : Machine.summary) = Digest.to_hex s.Machine.sm_digest
 
 (* Machine-level outcome: driver event order, malloc state, telemetry, the
    pending-free calendar and Clock's ticker order.  Then drain the first
-   job to empty (Driver.drain, i.e. drain_until infinity). *)
+   job to empty (Driver.drain, i.e. drain_payloads infinity). *)
 let test_machine_and_drain () =
   let m =
     Machine.create ~seed:42 ~platform:Wsc_hw.Topology.default
