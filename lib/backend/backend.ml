@@ -57,19 +57,16 @@ let tc_exn t =
       (Printf.sprintf "Backend.tc_exn: tcmalloc-only introspection on a %s backend"
          (kind_name (kind t)))
 
-let rival_release t release m ~target_bytes =
-  if target_bytes <= 0 then Malloc.zero_reclaim
-  else begin
-    let r = release m in
-    Malloc.record_reclaim t.telemetry r;
-    r
-  end
+let recorded t r =
+  Malloc.record_reclaim t.telemetry r;
+  r
 
 let release_memory t ~target_bytes =
   match t.model with
   | Tc m -> Malloc.release_memory m ~target_bytes
-  | Rp m -> rival_release t Rpmalloc_model.release m ~target_bytes
-  | Je m -> rival_release t Jemalloc_model.release m ~target_bytes
+  | Rp _ | Je _ when target_bytes <= 0 -> Malloc.zero_reclaim
+  | Rp m -> recorded t (Rpmalloc_model.release m)
+  | Je m -> recorded t (Jemalloc_model.release m)
 
 (* The rivals' reclaim-retry loop: a failed mapping counts a retry and
    runs the model's reclaim sweep, up to [reclaim_retries] times; the next

@@ -1,8 +1,8 @@
 (** rpmalloc-style allocator model (see the .ml header for the design and
-    its deliberate simplifications): only the algorithm.  {!Backend} owns
-    the process state it shares with the other models and runs the
-    reclaim-retry loop, the stats record and the audit's closing checks;
-    the tests use the size-class constants directly. *)
+    its deliberate simplifications), the algorithm only: {!Backend} holds
+    the process state the models share and runs the reclaim-retry loop and
+    the audit's closing checks.  The tests use the size-class constants
+    directly. *)
 
 type addr = int
 type t
@@ -14,16 +14,12 @@ val class_of_size : int -> int
 val class_size : int -> int
 
 val create : vm:Wsc_os.Vm.t -> vcpus:Wsc_os.Vcpu.t -> tel:Wsc_tcmalloc.Telemetry.t -> t
-(** A model that maps from [vm], binds physical CPUs through [vcpus] and
-    counts into [tel]. *)
 
 val malloc : t -> cpu:int -> size:int -> addr
 (** One attempt at [size > 0] bytes.
     @raise Wsc_os.Vm.Mmap_failed when the VM refuses a mapping. *)
 
 val free : t -> cpu:int -> addr -> size:int -> unit
-(** @raise Invalid_argument on a wild, misaligned, double or wrong-size
-    free. *)
 
 val release : t -> Wsc_tcmalloc.Malloc.reclaim_outcome
 (** Sweep everything reclaimable, whatever the target: adopt deferred
@@ -33,10 +29,6 @@ val release : t -> Wsc_tcmalloc.Malloc.reclaim_outcome
 val cpu_idle : ?flush:bool -> t -> cpu:int -> unit
 
 val heap_stats : t -> Wsc_tcmalloc.Malloc.heap_stats
-(** Free objects on span stacks are [front_end_cached_bytes], deferred
-    cross-CPU frees [transfer_cached_bytes], carve slack
-    [cfl_fragmented_bytes] and free spans [pageheap_fragmented_bytes]. *)
-
 val external_bytes : t -> int
 (** The four tiers' sum, without building {!heap_stats}. *)
 
