@@ -4,8 +4,8 @@
    alloc/free/churn/pressure sequences with invariants checked at every
    [Check] — against all three backends, with and without a hard memory
    limit.  The unit tests pin down the rival models' size-class algebra
-   and the dispatcher's contract (rseq rejection, snapshot round-trips,
-   cross-CPU free draining). *)
+   and the backend contract (rseq rejection, snapshot round-trips,
+   cross-CPU free draining, each backend's reclaim-retry protocol). *)
 
 module Backend = Wsc_backend.Backend
 module Rp = Wsc_backend.Rpmalloc_model

@@ -1,7 +1,7 @@
 (* Differential property tests for the event-loop rework: the calendar
-   queue against the binary-heap reference, the guide-table samplers against straight-line
-   reference searches on the same RNG stream, and the unboxed int table
-   against a Hashtbl model. *)
+   queue against the binary-heap reference, the guide-table samplers
+   against straight-line reference searches on the same RNG stream, and
+   the unboxed int table against a Hashtbl model. *)
 
 open Wsc_substrate
 
